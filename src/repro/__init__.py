@@ -14,8 +14,8 @@ Memory" (HPCA 2026).  The library is organised bottom-up:
     error models, hardware-aware noise and BP+OSD decoding.
 ``repro.parallel``
     Multi-process shot sharding: the fused sample→decode pipeline
-    (:class:`~repro.parallel.ShardedExperiment`) and decode-only
-    sharding (:class:`~repro.parallel.ShardedDecoder`).
+    (:class:`~repro.parallel.ShardedExperiment`), streamed through a
+    self-healing :class:`~repro.parallel.SharedPool`.
 ``repro.qccd``
     The trapped-ion QCCD hardware simulator: topologies, timing,
     routing and the compilers (baseline grid EJF, dynamic timeslice,
@@ -82,7 +82,6 @@ from repro.parallel import (
     DecoderHandle,
     ExperimentHandle,
     SharedPool,
-    ShardedDecoder,
     ShardedExperiment,
 )
 from repro.qccd import OperationTimes
@@ -121,7 +120,6 @@ __all__ = [
     "DecoderHandle",
     "ExperimentHandle",
     "SharedPool",
-    "ShardedDecoder",
     "ShardedExperiment",
     "OperationTimes",
     "CycloneCompiler",

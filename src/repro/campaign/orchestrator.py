@@ -440,6 +440,183 @@ def _build_tables(spec: CampaignSpec,
     return tables
 
 
+class _PointRunner:
+    """The per-point stage work shared by plain and joined campaigns.
+
+    Both scheduling loops hand every pilot/refine stage of a point to
+    :meth:`sample`, which serves it from a partial checkpoint when one
+    logged the same allocation, and otherwise samples it on the point's
+    cached experiment, cross-checks it against the oracle (if any),
+    logs it and checkpoints the log.  :meth:`finalize` writes the
+    point's final record.  ``provenance(point)`` adds fields to every
+    record (joined workers stamp the lease ``epoch`` and ``worker``).
+
+    ``shots_sampled`` counts fresh Monte-Carlo work, ``shots_replayed``
+    stages served from checkpoints.  A context manager: closing it
+    releases every experiment and the pool it built (``workers > 1``
+    and no lent ``pool``).
+    """
+
+    def __init__(self, spec: CampaignSpec, store: ResultStore | None,
+                 campaign_fp: str, workers: int = 1,
+                 pool: SharedPool | None = None,
+                 shard_timeout: float | None = None,
+                 max_shard_retries: int | None = None,
+                 provenance=None) -> None:
+        self.spec = spec
+        self.store = store
+        self.campaign_fp = campaign_fp
+        self.shard_timeout = shard_timeout
+        self.max_shard_retries = max_shard_retries
+        self.provenance = provenance
+        self.shots_sampled = 0
+        self.shots_replayed = 0
+        self.points_finalized = 0
+        self._stack = ExitStack()
+        self._experiments: dict = {}
+        if pool is None and resolve_workers(workers) > 1:
+            # Worker processes spawn on the first multi-shard run only.
+            pool = self._stack.enter_context(
+                SharedPool(resolve_workers(workers)))
+        self.pool = pool
+
+    def __enter__(self) -> "_PointRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._experiments.clear()
+        self._stack.close()
+
+    # ------------------------------------------------------------------
+    def experiment(self, point: _CampaignPoint,
+                   reference: str | None = None) -> MemoryExperiment:
+        """The point's experiment, cached per sweep and experiment key.
+
+        ``reference`` names an oracle backend: that experiment runs
+        in-process, without the pool or the fault-tolerance knobs."""
+        key = (point.sweep_index, point.experiment_key, reference)
+        experiment = self._experiments.get(key)
+        if experiment is None:
+            fast = reference is None
+            # The run-level overrides win over the sweep's knobs.
+            timeout = (self.shard_timeout if self.shard_timeout is not None
+                       else point.sweep.shard_timeout)
+            retries = (self.max_shard_retries
+                       if self.max_shard_retries is not None
+                       else point.sweep.max_shard_retries)
+            experiment = self._stack.enter_context(MemoryExperiment(
+                code=point.code, rounds=point.rounds,
+                basis=point.basis, method=point.sweep.method,
+                max_bp_iterations=point.max_bp_iterations,
+                osd_order=point.osd_order, seed=self.spec.seed,
+                backend=point.backend if fast else reference,
+                shard_shots=point.shard_shots,
+                pool=self.pool if fast else None,
+                shard_timeout=timeout if fast else None,
+                max_shard_retries=retries if fast else None,
+            ))
+            self._experiments[key] = experiment
+        return experiment
+
+    def seed(self, point: _CampaignPoint,
+             stage: int) -> np.random.SeedSequence:
+        if point.seed_entropy is not None:
+            return np.random.SeedSequence(entropy=point.seed_entropy,
+                                          spawn_key=(int(stage),))
+        return _point_seed(self.spec.seed, point.sweep_index,
+                           point.point_index, stage)
+
+    def sample(self, point: _CampaignPoint, allocation: int,
+               prior: tuple[int, int], stage: int) -> tuple[int, int]:
+        """Run (or replay) one stage; returns ``(failures, shots)``."""
+        if point.replay is not None:
+            logged = point.replay.get(stage)
+            if (logged is not None
+                    and int(logged["allocation"]) == int(allocation)):
+                # Completed stage from a partial checkpoint: serve the
+                # logged tally, sample nothing.  (The oracle check
+                # already passed when the stage first ran.)
+                failures = int(logged["failures"])
+                used = int(logged["shots"])
+                self.shots_replayed += used
+                point.stage_log.append({
+                    "stage": stage, "allocation": int(allocation),
+                    "failures": failures, "shots": used,
+                })
+                return failures, used
+            # Allocation diverged (e.g. the log predates a spec-
+            # compatible change in execution knobs): drop the rest of
+            # the log and re-sample — stage seeds make that
+            # bit-identical anyway.
+            point.replay = None
+        result = self.experiment(point).run(
+            point.physical_error_rate, point.round_latency_us,
+            shots=allocation, target_precision=point.target,
+            prior_tally=prior, seed=self.seed(point, stage),
+        )
+        if point.oracle is not None:
+            # Identical sampling on the reference backend (workers=1,
+            # no pool); an equal-valued SeedSequence rebuilds the same
+            # shard tree, so the oracle re-draws the fast run's exact
+            # shots.  Oracle shots are a check, not an estimate — they
+            # never count against the campaign budget.
+            check = self.experiment(
+                point, reference=point.oracle.reference,
+            ).run(point.physical_error_rate, point.round_latency_us,
+                  shots=allocation, target_precision=point.target,
+                  prior_tally=prior, seed=self.seed(point, stage))
+            if ((check.failures, check.shots)
+                    != (result.failures, result.shots)):
+                report_scenario_mismatch(
+                    point.oracle.scenario, point.backend,
+                    point.oracle.reference, point.oracle.failure_dir,
+                    detail=(f"campaign {self.spec.name!r} sweep "
+                            f"{point.sweep.name!r} stage {stage}: "
+                            f"fast ({result.failures}, {result.shots}) "
+                            f"!= oracle ({check.failures}, "
+                            f"{check.shots})"))
+        self.shots_sampled += int(result.shots)
+        point.stage_log.append({
+            "stage": stage, "allocation": int(allocation),
+            "failures": int(result.failures), "shots": int(result.shots),
+        })
+        self._append(point, partial=True, stages=list(point.stage_log),
+                     failures=sum(e["failures"] for e in point.stage_log),
+                     shots=sum(e["shots"] for e in point.stage_log))
+        return result.failures, result.shots
+
+    def finalize(self, point: _CampaignPoint) -> None:
+        """Append the point's final record (superseding its partial
+        checkpoints); an injected interrupt may fire right after."""
+        self._append(point, failures=point.tally[0], shots=point.tally[1])
+        self.points_finalized += 1
+        plan = active_plan()
+        if plan is not None and plan.take_sigterm(self.points_finalized):
+            # Injected stand-in for SIGTERM: exercise the same
+            # flush/raise path the real signal handlers reach via
+            # ``stop``, deterministically placed after this point.
+            raise CampaignInterrupted(
+                f"injected interrupt after {self.points_finalized} points")
+
+    def _append(self, point: _CampaignPoint, **fields) -> None:
+        if self.store is None:
+            return
+        record = {
+            "key": point.key,
+            "campaign": self.campaign_fp,
+            "spec_name": self.spec.name,
+            "sweep": point.sweep.name,
+            "params": point.params,
+            **fields,
+        }
+        if self.provenance is not None:
+            record.update(self.provenance(point))
+        self.store.append(record)
+
+
 class JoinedCampaign:
     """One joined worker's view of a multi-host campaign.
 
@@ -453,7 +630,8 @@ class JoinedCampaign:
     therefore the tables are bit-identical, and N workers produce the
     same tables as one.
 
-    A context manager (owns the worker pool and experiment cache):
+    A context manager (owns the worker pool and experiment cache, both
+    released on exit):
 
     >>> with JoinedCampaign(spec, store, worker=identity) as joined:
     ...     result = joined.run()
@@ -505,18 +683,13 @@ class JoinedCampaign:
         self.progress = progress
         self.clock = clock
         self.sleep = sleep
-        self.shard_timeout = shard_timeout
-        self.max_shard_retries = max_shard_retries
         self.campaign_fp = spec.fingerprint(budget=self.budget)
         self.points = _expand_points(spec, self.budget, self.campaign_fp)
         _partition_points(self.points, self.budget)
         self.sampled = [point for point in self.points if point.sampled]
         self.by_key = {point.key: point for point in self.sampled}
         self.manager = LeaseManager(store, self.worker, ttl, clock=clock)
-        self.shots_sampled = 0
-        self.shots_replayed = 0
         self.shots_forfeited = 0
-        self.points_finalized = 0
         self.finalized_by_us: set[str] = set()
         self.reused_at_start: set[str] = set()
         store.refresh()
@@ -524,152 +697,35 @@ class JoinedCampaign:
             record = store.get(point.key)
             if record is not None and not record.get("partial"):
                 self.reused_at_start.add(point.key)
-        self.worker_count = resolve_workers(workers)
-        self._stack: ExitStack | None = None
-        self._pool = None
-        self._experiments: dict = {}
+        self.runner = _PointRunner(
+            spec, store, self.campaign_fp, workers=workers,
+            shard_timeout=shard_timeout, max_shard_retries=max_shard_retries,
+            provenance=lambda point: {
+                "epoch": self.manager.held.get(point.key, 0),
+                "worker": str(self.worker),
+            })
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "JoinedCampaign":
-        self._stack = ExitStack().__enter__()
-        if self.worker_count > 1:
-            self._pool = self._stack.enter_context(
-                SharedPool(self.worker_count))
         return self
 
-    def __exit__(self, *exc_info) -> bool | None:
-        stack, self._stack = self._stack, None
-        self._pool = None
-        self._experiments.clear()
-        if stack is not None:
-            return stack.__exit__(*exc_info)
-        return None
+    def __exit__(self, *exc_info) -> None:
+        self.runner.close()
 
     # ------------------------------------------------------------------
-    def _experiment_for(self, point: _CampaignPoint,
-                        reference: str | None = None) -> MemoryExperiment:
-        if self._stack is None:
-            raise RuntimeError("JoinedCampaign must be entered first")
-        key = (point.sweep_index, point.experiment_key, reference)
-        experiment = self._experiments.get(key)
-        if experiment is None:
-            timeout = (self.shard_timeout if self.shard_timeout is not None
-                       else point.sweep.shard_timeout)
-            retries = (self.max_shard_retries
-                       if self.max_shard_retries is not None
-                       else point.sweep.max_shard_retries)
-            experiment = self._stack.enter_context(MemoryExperiment(
-                code=point.code, rounds=point.rounds,
-                basis=point.basis, method=point.sweep.method,
-                max_bp_iterations=point.max_bp_iterations,
-                osd_order=point.osd_order, seed=self.spec.seed,
-                backend=(reference if reference is not None
-                         else point.backend),
-                workers=1 if reference is not None else self.worker_count,
-                shard_shots=point.shard_shots,
-                pool=None if reference is not None else self._pool,
-                shard_timeout=None if reference is not None else timeout,
-                max_shard_retries=(None if reference is not None
-                                   else retries),
-            ))
-            self._experiments[key] = experiment
-        return experiment
-
-    def _seed_for(self, point: _CampaignPoint,
-                  stage: int) -> np.random.SeedSequence:
-        if point.seed_entropy is not None:
-            return np.random.SeedSequence(entropy=point.seed_entropy,
-                                          spawn_key=(int(stage),))
-        return _point_seed(self.spec.seed, point.sweep_index,
-                           point.point_index, stage)
-
-    # ------------------------------------------------------------------
-    def _checkpoint(self, point: _CampaignPoint) -> None:
-        self.store.append({
-            "key": point.key,
-            "campaign": self.campaign_fp,
-            "spec_name": self.spec.name,
-            "sweep": point.sweep.name,
-            "params": point.params,
-            "partial": True,
-            "stages": list(point.stage_log),
-            "failures": sum(e["failures"] for e in point.stage_log),
-            "shots": sum(e["shots"] for e in point.stage_log),
-            "epoch": self.manager.held.get(point.key, 0),
-            "worker": str(self.worker),
-        })
-
-    def _flush_final(self, point: _CampaignPoint) -> None:
-        self.store.append({
-            "key": point.key,
-            "campaign": self.campaign_fp,
-            "spec_name": self.spec.name,
-            "sweep": point.sweep.name,
-            "params": point.params,
-            "failures": point.tally[0],
-            "shots": point.tally[1],
-            "epoch": self.manager.held.get(point.key, 0),
-            "worker": str(self.worker),
-        })
-        self.points_finalized += 1
-        plan = active_plan()
-        if plan is not None and plan.take_sigterm(self.points_finalized):
-            raise CampaignInterrupted(
-                f"injected interrupt after {self.points_finalized} points")
-
     def _sample(self, point: _CampaignPoint, allocation: int,
                 prior: tuple[int, int], stage: int) -> tuple[int, int]:
         # Liveness first: if the lease was usurped (our heartbeats were
         # too slow, or suppressed by a fault plan), LeaseLost propagates
         # to _run_point which forfeits the whole point.
         self.manager.heartbeat(point.key)
-        if point.replay is not None:
-            logged = point.replay.get(stage)
-            if (logged is not None
-                    and int(logged["allocation"]) == int(allocation)):
-                failures = int(logged["failures"])
-                used = int(logged["shots"])
-                self.shots_replayed += used
-                point.stage_log.append({
-                    "stage": stage, "allocation": int(allocation),
-                    "failures": failures, "shots": used,
-                })
-                return failures, used
-            point.replay = None
-        result = self._experiment_for(point).run(
-            point.physical_error_rate, point.round_latency_us,
-            shots=allocation, target_precision=point.target,
-            prior_tally=prior,
-            seed=self._seed_for(point, stage),
-        )
-        if point.oracle is not None:
-            check = self._experiment_for(
-                point, reference=point.oracle.reference,
-            ).run(point.physical_error_rate, point.round_latency_us,
-                  shots=allocation, target_precision=point.target,
-                  prior_tally=prior, seed=self._seed_for(point, stage))
-            if ((check.failures, check.shots)
-                    != (result.failures, result.shots)):
-                report_scenario_mismatch(
-                    point.oracle.scenario, point.backend,
-                    point.oracle.reference, point.oracle.failure_dir,
-                    detail=(f"campaign {self.spec.name!r} sweep "
-                            f"{point.sweep.name!r} stage {stage}: "
-                            f"fast ({result.failures}, {result.shots}) "
-                            f"!= oracle ({check.failures}, "
-                            f"{check.shots})"))
-        self.shots_sampled += int(result.shots)
-        point.stage_log.append({
-            "stage": stage, "allocation": int(allocation),
-            "failures": int(result.failures), "shots": int(result.shots),
-        })
-        self._checkpoint(point)
-        return result.failures, result.shots
+        return self.runner.sample(point, allocation, prior, stage)
 
     def _run_point(self, point: _CampaignPoint) -> str:
         """Run one claimed point to completion (or forfeit it)."""
-        before_sampled = self.shots_sampled
-        before_replayed = self.shots_replayed
+        runner = self.runner
+        before_sampled = runner.shots_sampled
+        before_replayed = runner.shots_replayed
         try:
             record = self.store.get(point.key)
             if record is not None and not record.get("partial"):
@@ -705,7 +761,7 @@ class JoinedCampaign:
                 # checkpointed, so whoever claims next replays it.
                 raise CampaignInterrupted(
                     "joined campaign interrupted mid-point")
-            self._flush_final(point)
+            runner.finalize(point)
             self.manager.release(point.key)
             self.finalized_by_us.add(point.key)
             return "done"
@@ -713,10 +769,10 @@ class JoinedCampaign:
             # Usurped: un-count everything this run put into the point
             # — the usurper's final record carries those shots — and
             # reset it so a later reclaim rebuilds from the store.
-            forfeited = ((self.shots_sampled - before_sampled)
-                         + (self.shots_replayed - before_replayed))
-            self.shots_sampled = before_sampled
-            self.shots_replayed = before_replayed
+            forfeited = ((runner.shots_sampled - before_sampled)
+                         + (runner.shots_replayed - before_replayed))
+            runner.shots_sampled = before_sampled
+            runner.shots_replayed = before_replayed
             self.shots_forfeited += forfeited
             point.tally[:] = [0, 0]
             point.stage_log.clear()
@@ -767,7 +823,8 @@ class JoinedCampaign:
                 stored.add(point.key)
         self.progress(_progress_snapshot(
             self.spec, self.points, phase, None, self.budget,
-            self.shots_sampled, 0, self.shots_replayed, 0, stored))
+            self.runner.shots_sampled, 0, self.runner.shots_replayed, 0,
+            stored))
 
     def run(self) -> CampaignResult:
         """Claim and run until every point has a final record."""
@@ -818,9 +875,9 @@ class JoinedCampaign:
             budget=self.budget,
             points_total=len(self.sampled),
             points_reused=len(self.reused_at_start),
-            shots_sampled=self.shots_sampled,
+            shots_sampled=self.runner.shots_sampled,
             shots_reused=shots_reused,
-            shots_replayed=self.shots_replayed,
+            shots_replayed=self.runner.shots_replayed,
             targets_met=targets_met,
             store_path=str(self.store.path),
             shots_external=shots_external,
@@ -950,10 +1007,7 @@ def run_campaign(spec: CampaignSpec,
         shots_reused += point.tally[1]
 
     spent = shots_reused
-    shots_sampled = 0
-    shots_replayed = 0
     shots_external = 0
-    points_finalized = 0
     fresh = [point for point in sampled_points if not point.reused]
 
     # Interruption safety: flush a fresh point to the store the moment
@@ -962,12 +1016,18 @@ def run_campaign(spec: CampaignSpec,
     # remaining (budget-exhausted) points are flushed at the end.
     stored_keys: set[str] = set()
 
+    # An externally owned pool (the service lends its pool to every
+    # job) is used, never closed.
+    runner = _PointRunner(spec, store, campaign_fp, workers=workers,
+                          pool=pool, shard_timeout=shard_timeout,
+                          max_shard_retries=max_shard_retries)
+
     def emit(phase: str, round_index: int | None = None) -> None:
         if progress is None:
             return
         progress(_progress_snapshot(
             spec, points, phase, round_index, effective_budget,
-            shots_sampled - shots_replayed, shots_reused, shots_replayed,
+            runner.shots_sampled, shots_reused, runner.shots_replayed,
             shots_external, stored_keys))
 
     def adopt_external(round_index: int | None = None) -> int:
@@ -1015,159 +1075,21 @@ def run_campaign(spec: CampaignSpec,
         return adopted
 
     def flush(point: _CampaignPoint, force: bool = False) -> None:
-        nonlocal points_finalized
         if store is None or point.key in stored_keys:
             return
-        final = (force or point.tally[1] >= point.cap
-                 or point.target.met(point.tally[0], point.tally[1]))
-        if not final:
-            return
-        store.append({
-            "key": point.key,
-            "campaign": campaign_fp,
-            "spec_name": spec.name,
-            "sweep": point.sweep.name,
-            "params": point.params,
-            "failures": point.tally[0],
-            "shots": point.tally[1],
-        })
-        stored_keys.add(point.key)
-        points_finalized += 1
-        plan = active_plan()
-        if plan is not None and plan.take_sigterm(points_finalized):
-            # Injected stand-in for SIGTERM: exercise the same
-            # flush/raise path the real signal handlers reach via
-            # ``stop``, deterministically placed after this point.
-            raise CampaignInterrupted(
-                f"injected interrupt after {points_finalized} points")
+        if (force or point.tally[1] >= point.cap
+                or point.target.met(point.tally[0], point.tally[1])):
+            stored_keys.add(point.key)
+            runner.finalize(point)
 
-    def checkpoint(point: _CampaignPoint) -> None:
-        """Persist the point's stage log (a partial, superseded later
-        by the final record under the same key)."""
-        if store is None:
-            return
-        store.append({
-            "key": point.key,
-            "campaign": campaign_fp,
-            "spec_name": spec.name,
-            "sweep": point.sweep.name,
-            "params": point.params,
-            "partial": True,
-            "stages": list(point.stage_log),
-            "failures": sum(e["failures"] for e in point.stage_log),
-            "shots": sum(e["shots"] for e in point.stage_log),
-        })
+    def interrupt(message: str) -> None:
+        """Stop cleanly: flush whatever already finalised, raise."""
+        for point in fresh:
+            flush(point)
+        raise CampaignInterrupted(message)
 
-    def seed_for(point: _CampaignPoint, stage: int) -> np.random.SeedSequence:
-        if point.seed_entropy is not None:
-            return np.random.SeedSequence(entropy=point.seed_entropy,
-                                          spawn_key=(int(stage),))
-        return _point_seed(spec.seed, point.sweep_index, point.point_index,
-                           stage)
-
-    emit("reuse")
-
-    with ExitStack() as stack:
-        if pool is not None:
-            # Externally owned (the service lends its pool to every
-            # job): use it, never close it.
-            worker_count = pool.workers
-        else:
-            worker_count = resolve_workers(workers)
-            if worker_count > 1 and fresh:
-                pool = stack.enter_context(SharedPool(worker_count))
-        experiments: dict = {}
-
-        def experiment_for(point: _CampaignPoint,
-                           reference: str | None = None) -> MemoryExperiment:
-            key = (point.sweep_index, point.experiment_key, reference)
-            experiment = experiments.get(key)
-            if experiment is None:
-                # The run-level overrides win over the sweep's knobs;
-                # oracle reference runs are in-process and need neither.
-                timeout = (shard_timeout if shard_timeout is not None
-                           else point.sweep.shard_timeout)
-                retries = (max_shard_retries if max_shard_retries is not None
-                           else point.sweep.max_shard_retries)
-                experiment = stack.enter_context(MemoryExperiment(
-                    code=point.code, rounds=point.rounds,
-                    basis=point.basis, method=point.sweep.method,
-                    max_bp_iterations=point.max_bp_iterations,
-                    osd_order=point.osd_order, seed=spec.seed,
-                    backend=(reference if reference is not None
-                             else point.backend),
-                    workers=1 if reference is not None else worker_count,
-                    shard_shots=point.shard_shots,
-                    pool=None if reference is not None else pool,
-                    shard_timeout=None if reference is not None else timeout,
-                    max_shard_retries=(None if reference is not None
-                                       else retries),
-                ))
-                experiments[key] = experiment
-            return experiment
-
-        def sample(point: _CampaignPoint, allocation: int,
-                   prior: tuple[int, int], stage: int) -> tuple[int, int]:
-            nonlocal shots_replayed
-            if point.replay is not None:
-                logged = point.replay.get(stage)
-                if (logged is not None
-                        and int(logged["allocation"]) == int(allocation)):
-                    # Completed stage from a partial checkpoint: serve
-                    # the logged tally, sample nothing.  (The oracle
-                    # check already passed when the stage first ran.)
-                    failures = int(logged["failures"])
-                    used = int(logged["shots"])
-                    shots_replayed += used
-                    point.stage_log.append({
-                        "stage": stage, "allocation": int(allocation),
-                        "failures": failures, "shots": used,
-                    })
-                    return failures, used
-                # Allocation diverged (e.g. the log predates a spec-
-                # compatible change in execution knobs): drop the rest
-                # of the log and re-sample — stage seeds make that
-                # bit-identical anyway.
-                point.replay = None
-            result = experiment_for(point).run(
-                point.physical_error_rate, point.round_latency_us,
-                shots=allocation, target_precision=point.target,
-                prior_tally=prior,
-                seed=seed_for(point, stage),
-            )
-            if point.oracle is not None:
-                # Identical sampling on the reference backend (workers=1,
-                # no pool); an equal-valued SeedSequence rebuilds the same
-                # shard tree, so the oracle re-draws the fast run's exact
-                # shots.  Oracle shots are a check, not an estimate —
-                # they never count against the campaign budget.
-                check = experiment_for(
-                    point, reference=point.oracle.reference,
-                ).run(point.physical_error_rate, point.round_latency_us,
-                      shots=allocation, target_precision=point.target,
-                      prior_tally=prior, seed=seed_for(point, stage))
-                if ((check.failures, check.shots)
-                        != (result.failures, result.shots)):
-                    report_scenario_mismatch(
-                        point.oracle.scenario, point.backend,
-                        point.oracle.reference, point.oracle.failure_dir,
-                        detail=(f"campaign {spec.name!r} sweep "
-                                f"{point.sweep.name!r} stage {stage}: "
-                                f"fast ({result.failures}, {result.shots}) "
-                                f"!= oracle ({check.failures}, "
-                                f"{check.shots})"))
-            point.stage_log.append({
-                "stage": stage, "allocation": int(allocation),
-                "failures": int(result.failures), "shots": int(result.shots),
-            })
-            checkpoint(point)
-            return result.failures, result.shots
-
-        def interrupt(message: str) -> None:
-            """Stop cleanly: flush whatever already finalised, raise."""
-            for point in fresh:
-                flush(point)
-            raise CampaignInterrupted(message)
+    with runner:
+        emit("reuse")
 
         # Pilot: a streamed taste of every fresh point, in spec order.
         for point in fresh:
@@ -1176,11 +1098,11 @@ def run_campaign(spec: CampaignSpec,
             allocation = min(point.pilot, point.cap,
                              max(0, effective_budget - spent))
             if allocation > 0:
-                failures, used = sample(point, allocation, (0, 0), stage=0)
+                failures, used = runner.sample(point, allocation, (0, 0),
+                                               stage=0)
                 point.tally[0] += failures
                 point.tally[1] += used
                 spent += used
-                shots_sampled += used
             flush(point)
             emit("pilot")
 
@@ -1190,8 +1112,9 @@ def run_campaign(spec: CampaignSpec,
             AdaptivePoint(
                 target=point.target, cap=point.cap,
                 runner=(lambda allocation, prior, round_index, *,
-                        _point=point: sample(_point, allocation, prior,
-                                             stage=round_index + 1)),
+                        _point=point: runner.sample(
+                            _point, allocation, prior,
+                            stage=round_index + 1)),
                 tally=point.tally,
             )
             for point in fresh
@@ -1202,16 +1125,9 @@ def run_campaign(spec: CampaignSpec,
                 flush(point)
             emit("refine", round_index)
 
-        spent_before_refine = spent
-        spent_after = run_adaptive_refine(adaptive, effective_budget, spent,
-                                          after_round=flush_round,
-                                          should_stop=stop,
-                                          before_round=adopt_external)
-        # The refine spend is everything beyond what we carried in,
-        # minus the external finals adopted between rounds (those were
-        # sampled elsewhere; ``adopt_external`` fed them into the
-        # engine's budget arithmetic but they are not our sampling).
-        shots_sampled += spent_after - spent_before_refine - shots_external
+        run_adaptive_refine(adaptive, effective_budget, spent,
+                            after_round=flush_round, should_stop=stop,
+                            before_round=adopt_external)
         if stop is not None and stop():
             interrupt("campaign interrupted during refine")
 
@@ -1236,11 +1152,9 @@ def run_campaign(spec: CampaignSpec,
         budget=effective_budget,
         points_total=len(sampled_points),
         points_reused=len(sampled_points) - len(fresh),
-        # Replayed stages flowed through the same counters as sampling
-        # (they spend budget identically); split them back out here.
-        shots_sampled=shots_sampled - shots_replayed,
+        shots_sampled=runner.shots_sampled,
         shots_reused=shots_reused,
-        shots_replayed=shots_replayed,
+        shots_replayed=runner.shots_replayed,
         shots_external=shots_external,
         targets_met=targets_met,
         store_path=str(store.path) if store is not None else None,

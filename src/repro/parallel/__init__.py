@@ -2,27 +2,25 @@
 
 Shots of a memory experiment are statistically independent, so the shot
 axis shards across worker processes — bit-identically to an in-process
-run, for any worker count.  Two layers are available:
+run, for any worker count.  :class:`ShardedExperiment` is the fused
+sample→decode pipeline: each worker samples its own shard (from a
+shard-indexed ``SeedSequence.spawn`` tree) and decodes it locally, so
+syndromes never cross a process boundary.  This is what
+:class:`~repro.core.memory.MemoryExperiment` runs on.  Every
+multi-worker run streams through a :class:`SharedPool` — one lent by
+the caller (a campaign shares one across all its sweeps) or one the
+experiment builds, owns and closes.
 
-* :class:`ShardedExperiment` — the fused sample→decode pipeline: each
-  worker samples its own shard (from a shard-indexed
-  ``SeedSequence.spawn`` tree) and decodes it locally, so syndromes
-  never cross a process boundary.  This is what
-  :class:`~repro.core.memory.MemoryExperiment` runs on.
-* :class:`ShardedDecoder` — decode-only sharding for callers that
-  already hold a syndrome batch (e.g. syndromes replayed from disk or
-  produced by an external sampler).
-
-Both layers are **fault tolerant**: a dead worker (the executor breaks)
-or a timed-out shard triggers a bounded pool respawn and the lost
-shards re-run from their original seed-tree children, so results under
-any fault schedule are bit-identical to the fault-free run; when the
-pool cannot be rebuilt, execution degrades to in-process.
+The pipeline is **fault tolerant**: a dead worker (the executor
+breaks) or a timed-out shard triggers a bounded pool respawn and the
+lost shards re-run from their original seed-tree children, so results
+under any fault schedule are bit-identical to the fault-free run; when
+the pool cannot be rebuilt, execution degrades to in-process.
 :mod:`repro.parallel.faults` provides the deterministic fault-injection
 layer (:class:`FaultPlan`) the recovery machinery is tested against.
 
-See :mod:`repro.parallel.pipeline` / :mod:`repro.parallel.sharded` for
-the designs and `docs/performance.md` for the measured scaling.
+See :mod:`repro.parallel.pipeline` for the design and
+`docs/performance.md` for the measured scaling.
 """
 
 from repro.parallel.faults import FaultPlan, InjectedFault, activate
@@ -37,11 +35,7 @@ from repro.parallel.pipeline import (
     shard_layout,
     shard_seed_tree,
 )
-from repro.parallel.sharded import (
-    DecoderHandle,
-    ShardedDecoder,
-    resolve_workers,
-)
+from repro.parallel.sharded import DecoderHandle, resolve_workers
 
 __all__ = [
     "DecoderHandle",
@@ -51,7 +45,6 @@ __all__ = [
     "PipelineResult",
     "PoolUnavailable",
     "SharedPool",
-    "ShardedDecoder",
     "ShardedExperiment",
     "activate",
     "circuit_fingerprint",

@@ -55,36 +55,32 @@ Design
   matrix, and the sampling method (``"phenomenological"`` samples
   mechanism errors against the check matrix; ``"circuit"`` frame-
   simulates a circuit shipped per operating point).
-* :class:`ShardedExperiment` owns the lazily created
-  ``ProcessPoolExecutor``.  Workers receive the handle once via the
-  pool initializer and build the decoder + packed matrices on their
-  first shard; each shard task then ships only the per-point priors
-  and the per-shard seed.  Submission is bounded (a small in-flight
-  window per worker), so an early stop leaves the tail of the budget
-  unmaterialized instead of queued.
-* For the circuit method, each worker keeps a small **circuit cache**
-  keyed on a content fingerprint (:func:`circuit_fingerprint`, the
-  same structural-key idea as ``DemStructureCache``'s fault skeleton,
-  plus the noise rates): the parent ships the operating point's
-  circuit with only the first ``workers`` tasks; later tasks carry the
-  key alone, and a worker that misses (it never saw a payload task for
-  that point) raises a retry sentinel so the parent resubmits that one
-  shard with the payload attached.  Per point, the circuit crosses the
-  process boundary O(workers) times instead of O(shards) times
+* Every multi-worker run streams through a :class:`SharedPool`: the
+  caller's (a campaign's sweeps over different codes share **one**
+  process pool), or one the :class:`ShardedExperiment` builds on its
+  first multi-shard run, owns and closes.  Submission is bounded (a
+  small in-flight window per worker), so an early stop leaves the tail
+  of the budget unmaterialized instead of queued.
+* One worker task, :func:`_run_shard`, and one payload-cache
+  protocol.  Workers keep small LRUs keyed on content fingerprints:
+  pipeline states by :func:`handle_fingerprint` (check/observable
+  matrices and decoder knobs, not the priors) and, for the circuit
+  method, circuits by :func:`circuit_fingerprint` (the same
+  structural-key idea as ``DemStructureCache``'s fault skeleton, plus
+  the noise rates).  The parent ships the handle — and the operating
+  point's circuit — with only the first ``workers`` tasks of a run;
+  later tasks carry the keys alone plus the per-point priors and the
+  per-shard seed.  A worker that misses (it never saw a payload task)
+  raises a retry sentinel so the parent resubmits that one shard with
+  the payloads attached.  Per run, payloads cross the process boundary
+  O(workers) times instead of O(shards) times
   (``ShardedExperiment.last_run_stats`` records the counts).
 * The sweep caches stay in the parent: ``MemoryExperiment`` reuses its
   ``DemStructureCache`` / space-time structure across points and hands
   the pipeline the *same* check-matrix object each time, so the handle
   (and the workers' decoder structure) is built exactly once per sweep.
-* A :class:`SharedPool` lets *several* experiments — a campaign's
-  sweeps over different codes — stream through **one** process pool.
-  Workers keep a small LRU of pipeline states keyed on a content
-  fingerprint of the handle (:func:`handle_fingerprint`); the parent
-  ships each experiment's handle with its first ``workers`` tasks and
-  later tasks carry the key alone, with the same miss-retry fallback
-  as the circuit cache.  Shard seeds, sizes and fold order are
-  untouched, so pooled runs stay bit-identical to dedicated-pool and
-  in-process runs.
+  Shard seeds, sizes and fold order never depend on the pool, so
+  pooled runs stay bit-identical to in-process runs.
 """
 
 from __future__ import annotations
@@ -370,149 +366,97 @@ class _PipelineState:
                 decoded.errors if collect_errors else None)
 
 
-class _CircuitCacheMiss(RuntimeError):
-    """Raised by a worker whose circuit cache lacks the task's key.
+class _CacheMiss(RuntimeError):
+    """Raised by a worker whose cache lacks a task's key.
 
-    The parent resubmits the shard with the circuit payload attached;
-    the retried shard runs the identical ``(priors, seed, shots)`` so
-    the result is unchanged.  ``args[0]`` carries the missing key
-    (plain-args exceptions pickle cleanly across the pool boundary).
+    ``args`` is ``(cache, key)``, ``cache`` being ``"handle"`` or
+    ``"circuit"`` (plain-args exceptions pickle cleanly across the pool
+    boundary).  The parent resubmits the shard with every payload
+    attached; the retried shard runs the identical
+    ``(priors, seed, shots)``, so the result is unchanged.
     """
 
 
-class _HandleCacheMiss(RuntimeError):
-    """Raised by a shared-pool worker whose state cache lacks the task's
-    handle key.  Same protocol as :class:`_CircuitCacheMiss`: the parent
-    resubmits the identical shard with the handle payload attached."""
-
+#: How many pipeline states a worker retains.  A campaign typically
+#: cycles through a handful of codes; states for evicted handles are
+#: rebuilt on demand (cost: one decoder construction).
+_STATE_CACHE_SIZE = 8
 
 #: How many circuits a worker retains (sweeps revisit at most a couple
 #: of operating points at a time; each circuit is a few KB).
-_WORKER_CIRCUIT_CAPACITY = 4
+_CIRCUIT_CACHE_SIZE = 4
 
-# Per-process worker state: the handle arrives once via the pool
-# initializer; the pipeline state it describes is built lazily on the
-# first shard and re-priored (never rebuilt) on subsequent shards.  The
-# circuit cache maps fingerprint keys to circuits shipped by payload
-# tasks (circuit method only).
-_WORKER_HANDLE: ExperimentHandle | None = None
-_WORKER_STATE: _PipelineState | None = None
-_WORKER_CIRCUITS: "OrderedDict[str, Circuit]" = OrderedDict()
+# Per-process worker caches, filled by payload tasks: handle
+# fingerprint -> built pipeline state (re-priored, never rebuilt, on
+# later shards), and circuit fingerprint -> circuit (circuit method).
+_STATE_CACHE: "OrderedDict[str, _PipelineState]" = OrderedDict()
+_CIRCUIT_CACHE: "OrderedDict[str, Circuit]" = OrderedDict()
 
 
-def _init_pipeline_worker(handle: ExperimentHandle) -> None:
-    global _WORKER_HANDLE, _WORKER_STATE
-    _WORKER_HANDLE = handle
-    _WORKER_STATE = None
-    _WORKER_CIRCUITS.clear()
+def _init_worker() -> None:
+    _STATE_CACHE.clear()
+    _CIRCUIT_CACHE.clear()
 
 
-def _resolve_worker_circuit(circuit: Circuit | None,
-                            circuit_key: str | None) -> Circuit | None:
-    """Cache-or-resolve a task's circuit inside the worker.
+def _cached(cache: OrderedDict, capacity: int, name: str, key: str,
+            payload, build=lambda payload: payload):
+    """Resolve ``key`` in a worker LRU, filling it from ``payload``.
 
-    A payload task stores the circuit under its key (LRU-bounded); a
-    key-only task resolves it from the cache or raises
-    :class:`_CircuitCacheMiss` for the parent to retry with payload.
+    A payload task stores ``build(payload)`` under its key; a key-only
+    task resolves it from the cache or raises :class:`_CacheMiss` for
+    the parent to retry with the payload attached.
     """
-    if circuit_key is None:
-        return circuit
-    if circuit is not None:
-        _WORKER_CIRCUITS[circuit_key] = circuit
-        _WORKER_CIRCUITS.move_to_end(circuit_key)
-        while len(_WORKER_CIRCUITS) > _WORKER_CIRCUIT_CAPACITY:
-            _WORKER_CIRCUITS.popitem(last=False)
-        return circuit
-    circuit = _WORKER_CIRCUITS.get(circuit_key)
-    if circuit is None:
-        raise _CircuitCacheMiss(circuit_key)
-    _WORKER_CIRCUITS.move_to_end(circuit_key)
-    return circuit
+    value = cache.get(key)
+    if value is None:
+        if payload is None:
+            raise _CacheMiss(name, key)
+        value = build(payload)
+        cache[key] = value
+        while len(cache) > capacity:
+            cache.popitem(last=False)
+    cache.move_to_end(key)
+    return value
 
 
-def _run_pipeline_shard(priors: np.ndarray, circuit: Circuit | None,
-                        circuit_key: str | None,
-                        seed: np.random.SeedSequence, shots: int,
-                        collect_errors: bool, fault: tuple | None = None
-                        ) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """Sample and decode one shard inside a worker process.
+def _run_shard(handle: ExperimentHandle | None, handle_key: str,
+               priors: np.ndarray, circuit: Circuit | None,
+               circuit_key: str | None,
+               seed: np.random.SeedSequence, shots: int,
+               collect_errors: bool, fault: tuple | None = None
+               ) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Sample and decode one shard inside a pool worker.
 
-    ``circuit`` is the optional payload populating this worker's cache
-    under ``circuit_key``; a keyed task without payload resolves the
-    circuit from the cache or raises :class:`_CircuitCacheMiss` for the
-    parent to retry with the payload attached.  ``fault`` is an
-    injected fault shipped by the parent (worker kill / delay — see
+    The pipeline state is addressed by ``handle_key`` and the circuit
+    (circuit method only) by ``circuit_key``; ``handle``/``circuit``
+    are the optional payloads that populate the caches (shipped with
+    each run's first ``workers`` tasks).  ``fault`` is a parent-shipped
+    injected fault (worker kill / delay — see
     :mod:`repro.parallel.faults`); ``None`` on every clean run.
     """
-    global _WORKER_STATE
     apply_task_fault(fault)
-    if _WORKER_HANDLE is None:
-        raise RuntimeError("worker pool was not initialised with a handle")
-    if _WORKER_STATE is None:
-        _WORKER_STATE = _WORKER_HANDLE.build_state()
-    circuit = _resolve_worker_circuit(circuit, circuit_key)
-    return _WORKER_STATE.run_shard(priors, circuit, seed, shots,
-                                   collect_errors)
-
-
-#: How many pipeline states a shared-pool worker retains.  A campaign
-#: typically cycles through a handful of codes; states for evicted
-#: handles are rebuilt on demand (cost: one decoder construction).
-_SHARED_STATE_CAPACITY = 8
-
-#: Shared-pool worker cache: handle fingerprint -> built pipeline state.
-_SHARED_STATES: "OrderedDict[str, _PipelineState]" = OrderedDict()
-
-
-def _init_shared_worker() -> None:
-    _SHARED_STATES.clear()
-    _WORKER_CIRCUITS.clear()
-
-
-def _run_shared_shard(handle: ExperimentHandle | None, handle_key: str,
-                      priors: np.ndarray, circuit: Circuit | None,
-                      circuit_key: str | None,
-                      seed: np.random.SeedSequence, shots: int,
-                      collect_errors: bool, fault: tuple | None = None
-                      ) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """Shared-pool variant of :func:`_run_pipeline_shard`.
-
-    The pipeline state is addressed by ``handle_key``; ``handle`` is
-    the optional payload that populates the cache (shipped with each
-    experiment's first ``workers`` tasks).  A key-only task that misses
-    raises :class:`_HandleCacheMiss` for the parent to retry with the
-    payload attached — the retried shard runs the identical
-    ``(priors, seed, shots)``, so the result is unchanged.  ``fault``
-    is a parent-shipped injected fault (``None`` on clean runs).
-    """
-    apply_task_fault(fault)
-    state = _SHARED_STATES.get(handle_key)
-    if state is None:
-        if handle is None:
-            raise _HandleCacheMiss(handle_key)
-        state = handle.build_state()
-        _SHARED_STATES[handle_key] = state
-        while len(_SHARED_STATES) > _SHARED_STATE_CAPACITY:
-            _SHARED_STATES.popitem(last=False)
-    _SHARED_STATES.move_to_end(handle_key)
-    circuit = _resolve_worker_circuit(circuit, circuit_key)
+    state = _cached(_STATE_CACHE, _STATE_CACHE_SIZE, "handle",
+                    handle_key, handle,
+                    build=lambda payload: payload.build_state())
+    if circuit_key is not None:
+        circuit = _cached(_CIRCUIT_CACHE, _CIRCUIT_CACHE_SIZE,
+                          "circuit", circuit_key, circuit)
     return state.run_shard(priors, circuit, seed, shots, collect_errors)
 
 
 class SharedPool:
     """One process pool serving many :class:`ShardedExperiment` instances.
 
-    A campaign runs sweeps over different codes — different check
-    matrices, hence different pipeline handles.  A dedicated pool per
-    experiment would respawn processes (and rebuild worker state) per
-    sweep; a ``SharedPool`` keeps one executor alive across all of
-    them, with per-handle worker state resolved through
-    :func:`_run_shared_shard`'s fingerprint-keyed cache.
+    Every multi-worker run streams through a ``SharedPool``.  A campaign
+    runs sweeps over different codes — different check matrices, hence
+    different pipeline handles — and one pool keeps its executor alive
+    across all of them, with per-handle worker state resolved through
+    :func:`_run_shard`'s fingerprint-keyed cache.
 
     Pass it as ``ShardedExperiment(pool=...)`` (or
     ``MemoryExperiment(pool=...)``); the experiments then treat the
     pool as externally owned — their ``close()`` leaves it running.
     Use as a context manager, or call :meth:`close`, to shut it down.
+    An experiment given no pool builds and owns one of its own.
 
     The pool is **self-healing**: when a worker dies (``os._exit``,
     OOM kill, segfault) the executor breaks, and :meth:`rebuild`
@@ -543,7 +487,7 @@ class SharedPool:
             from concurrent.futures import ProcessPoolExecutor
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=_init_shared_worker,
+                initializer=_init_worker,
             )
         return self._executor
 
@@ -591,12 +535,6 @@ class SharedPool:
         except Exception:
             pass
 
-    def __del__(self) -> None:  # pragma: no cover - GC backstop
-        try:
-            self.close()
-        except Exception:
-            pass
-
 
 @dataclass
 class ShardedExperiment:
@@ -617,11 +555,14 @@ class ShardedExperiment:
         is also the early-stop granularity: the stop rule is evaluated
         once per folded shard.
     pool:
-        Optional :class:`SharedPool` to stream through instead of a
-        dedicated executor — the worker count then comes from the pool,
-        and :meth:`close` leaves the pool running (it is owned by the
-        caller, typically a campaign spanning several experiments).
-        Results are bit-identical with or without a shared pool.
+        Optional :class:`SharedPool` to stream through — the worker
+        count then comes from the pool, and :meth:`close` leaves the
+        pool running (it is owned by the caller, typically a campaign
+        spanning several experiments).  Without one, the first
+        multi-shard run with ``workers > 1`` builds an owned
+        ``SharedPool(workers, max_rebuilds=max_shard_retries)`` and
+        :meth:`close` shuts it down.  Results are bit-identical either
+        way.
     shard_timeout:
         Optional per-shard wall-clock limit (seconds).  A shard still
         pending past its deadline is treated exactly like a pool
@@ -631,23 +572,26 @@ class ShardedExperiment:
     max_shard_retries:
         How many pool failures (worker death / timeout) one :meth:`run`
         tolerates before degrading to in-process execution (default 3).
+        An owned pool's rebuild budget is the same number, spent over
+        the experiment's whole life: once a run gives up, the pool is
+        marked failed and later runs go straight in-process.
 
     Fault tolerance: a dead worker breaks the whole
     ``ProcessPoolExecutor``; the run detects it (``BrokenExecutor`` or
-    a ``shard_timeout`` expiry), respawns the executor (its own, or
-    ``pool.rebuild()``), and re-submits every lost shard with its
-    payload re-attached.  The retried shards run the identical
-    ``(priors, seed, shots)``, and folds stay in shard-index order, so
-    **results under any fault schedule are bit-identical to the
-    fault-free run**.  When the pool cannot be rebuilt the remaining
-    shards drain in-process (``last_run_stats["local_fallback"]``).
+    a ``shard_timeout`` expiry), respawns it with ``pool.rebuild()``,
+    and re-submits every lost shard with its payload re-attached.  The
+    retried shards run the identical ``(priors, seed, shots)``, and
+    folds stay in shard-index order, so **results under any fault
+    schedule are bit-identical to the fault-free run**.  When the pool
+    cannot be rebuilt the remaining shards drain in-process
+    (``last_run_stats["local_fallback"]``).
 
-    The executor is created lazily on the first multi-shard run and
+    The pool spawns its workers on the first multi-shard run and is
     reused across calls (a sweep pays the process-spawn cost once);
     :meth:`close` — or using the instance as a context manager —
-    releases it.  ``last_run_stats`` records, for the most recent
-    :meth:`run`, the submission/fold counters the instrumentation tests
-    assert on.
+    releases an owned pool.  ``last_run_stats`` records, for the most
+    recent :meth:`run`, the submission/fold counters the
+    instrumentation tests assert on.
     """
 
     handle: ExperimentHandle
@@ -658,13 +602,12 @@ class ShardedExperiment:
     max_shard_retries: int | None = None
     last_run_stats: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
-    _executor: object | None = field(default=None, init=False, repr=False)
+    _owns_pool: bool = field(default=False, init=False, repr=False)
     _local: _PipelineState | None = field(default=None, init=False,
                                           repr=False)
     _circuit_key_memo: tuple | None = field(default=None, init=False,
                                             repr=False)
     _handle_key: str | None = field(default=None, init=False, repr=False)
-    _pool_gone: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.pool is not None:
@@ -764,8 +707,7 @@ class ShardedExperiment:
         # A pool that already exhausted its rebuild budget (this run's
         # or a previous one's) is not worth submitting to: run the
         # identical per-shard code in-process instead.
-        pool_dead = (self._pool_gone
-                     or (self.pool is not None and self.pool.failed))
+        pool_dead = self.pool is not None and self.pool.failed
         if pool_dead:
             stats["local_fallback"] = True
         if not met:
@@ -842,11 +784,11 @@ class ShardedExperiment:
 
         Fault tolerance: ``BrokenExecutor`` (a worker died) and shard
         timeouts both funnel into :func:`recover` — drop every pending
-        future, respawn the executor and re-submit the lost shards with
-        payloads re-attached.  The retried shards run the identical
-        ``(priors, seed, shots)``, so no fault schedule can change the
-        folded prefix.  When the retry budget is spent, the remaining
-        shards drain in-process (still in index order, still
+        future, respawn the pool's executor and re-submit the lost
+        shards with payloads re-attached.  The retried shards run the
+        identical ``(priors, seed, shots)``, so no fault schedule can
+        change the folded prefix.  When the retry budget is spent, the
+        remaining shards drain in-process (still in index order, still
         bit-identical).
         """
         needs_circuit = self.handle.method == "circuit"
@@ -855,19 +797,19 @@ class ShardedExperiment:
             if circuit is None:
                 raise ValueError("the circuit method needs a circuit per run")
             circuit_key = self._circuit_key(circuit)
-        shared = self.pool is not None
-        if shared and self._handle_key is None:
+        if self._handle_key is None:
             self._handle_key = handle_fingerprint(self.handle)
-        executor = self._ensure_executor()
+        pool = self._ensure_pool()
+        executor = pool.executor
         plan = active_plan()
         # Enough in-flight work to keep every worker busy while the
         # prefix folds, small enough that an early stop wastes at most
         # ~two shards per worker.
         max_inflight = max(2 * self.workers, 2)
         # The first `workers` tasks carry the heavyweight payloads (the
-        # handle on a shared pool, the circuit for the circuit method);
-        # later tasks address the worker caches by key alone.
-        payload_quota = self.workers if (needs_circuit or shared) else 0
+        # handle, and the circuit for the circuit method); later tasks
+        # address the worker caches by key alone.
+        payload_quota = self.workers
 
         pending: dict = {}
         deadlines: dict = {}
@@ -878,25 +820,19 @@ class ShardedExperiment:
         met = False
 
         def submit(index: int, with_payload: bool) -> None:
+            handle = self.handle if with_payload else None
+            if handle is not None:
+                stats["handle_payload_tasks"] += 1
             payload = circuit if (needs_circuit and with_payload) else None
             if payload is not None:
                 stats["circuit_payload_tasks"] += 1
             stats["tasks_submitted"] += 1
             fault = plan.next_task_fault() if plan is not None else None
-            if shared:
-                handle = self.handle if with_payload else None
-                if handle is not None:
-                    stats["handle_payload_tasks"] += 1
-                future = executor.submit(
-                    _run_shared_shard, handle, self._handle_key, priors,
-                    payload, circuit_key, seeds[index], sizes[index],
-                    collect_errors, fault,
-                )
-            else:
-                future = executor.submit(
-                    _run_pipeline_shard, priors, payload, circuit_key,
-                    seeds[index], sizes[index], collect_errors, fault,
-                )
+            future = executor.submit(
+                _run_shard, handle, self._handle_key, priors, payload,
+                circuit_key, seeds[index], sizes[index], collect_errors,
+                fault,
+            )
             pending[future] = index
             if self.shard_timeout is not None:
                 deadlines[future] = monotonic() + self.shard_timeout
@@ -908,26 +844,39 @@ class ShardedExperiment:
             futures plus any index the caller already popped — re-runs
             with its original seed-tree child, and the fresh workers'
             empty caches get the payloads re-shipped, so recovery is
-            invisible to the folded result.
+            invisible to the folded result.  A fresh pool that breaks
+            before every lost shard is back in flight counts as one
+            more failure.
             """
             nonlocal executor, payload_quota
-            stats["pool_failures"] += 1
-            if stats["pool_failures"] > self.max_shard_retries:
-                raise PoolUnavailable(
-                    f"worker pool failed {stats['pool_failures']} times "
-                    f"(max_shard_retries={self.max_shard_retries})")
-            lost = sorted(set(pending.values()) | set(extra_lost))
-            for future in pending:
-                future.cancel()
-            pending.clear()
-            deadlines.clear()
-            executor = self._rebuild_executor()
-            payload_quota = (self.workers if (needs_circuit or shared)
-                             else 0)
-            stats["shards_resubmitted"] += len(lost)
-            for index in lost:
-                submit(index, with_payload=payload_quota > 0)
-                payload_quota = max(0, payload_quota - 1)
+            lost = set(extra_lost)
+            while True:
+                stats["pool_failures"] += 1
+                # An owned pool's rebuild budget is max_shard_retries,
+                # so its rebuild() raises here instead — and marks the
+                # pool failed, which sends later runs straight
+                # in-process.
+                if (not self._owns_pool and stats["pool_failures"]
+                        > self.max_shard_retries):
+                    raise PoolUnavailable(
+                        f"worker pool failed {stats['pool_failures']} "
+                        f"times (max_shard_retries="
+                        f"{self.max_shard_retries})")
+                lost |= set(pending.values())
+                for future in pending:
+                    future.cancel()
+                pending.clear()
+                deadlines.clear()
+                executor = pool.rebuild()
+                payload_quota = self.workers
+                stats["shards_resubmitted"] += len(lost)
+                try:
+                    for index in sorted(lost):
+                        submit(index, with_payload=payload_quota > 0)
+                        payload_quota = max(0, payload_quota - 1)
+                    return
+                except BrokenExecutor:
+                    continue
 
         try:
             while True:
@@ -977,13 +926,10 @@ class ShardedExperiment:
                     try:
                         ready[index] = future.result()
                         stats["shards_run"] += 1
-                    except (_CircuitCacheMiss, _HandleCacheMiss) as miss:
+                    except _CacheMiss as miss:
                         # A retry re-ships every payload, so one retry
                         # always suffices for the worker that ran it.
-                        if isinstance(miss, _HandleCacheMiss):
-                            stats["handle_cache_misses"] += 1
-                        else:
-                            stats["circuit_cache_misses"] += 1
+                        stats[f"{miss.args[0]}_cache_misses"] += 1
                         if retries.get(index, 0) >= 2:
                             raise
                         retries[index] = retries.get(index, 0) + 1
@@ -999,7 +945,6 @@ class ShardedExperiment:
             # is a pure function of (priors, seed, shots), so the result
             # is still bit-identical to a clean run.
             stats["local_fallback"] = True
-            self._pool_gone = self.pool is None
             while not met and len(outcomes) < len(sizes):
                 index = len(outcomes)
                 outcome = ready.pop(index, None)
@@ -1022,38 +967,27 @@ class ShardedExperiment:
         return outcomes, met
 
     # ------------------------------------------------------------------
-    def _ensure_executor(self):
-        if self.pool is not None:
-            return self.pool.executor
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_pipeline_worker,
-                initargs=(self.handle,),
-            )
-        return self._executor
-
-    def _rebuild_executor(self):
-        """Respawn a broken executor (dedicated: drop + recreate; shared:
-        the pool's bounded :meth:`SharedPool.rebuild`)."""
-        if self.pool is not None:
-            return self.pool.rebuild()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        return self._ensure_executor()
+    def _ensure_pool(self) -> SharedPool:
+        """The pool to stream through: the caller's, or one built (and
+        owned) on first use, whose lifetime rebuild budget is
+        ``max_shard_retries``."""
+        if self.pool is None:
+            self.pool = SharedPool(self.workers,
+                                   max_rebuilds=self.max_shard_retries)
+            self._owns_pool = True
+        return self.pool
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the dedicated worker pool, if any (idempotent).
+        """Shut down the owned worker pool, if any (idempotent).
 
         A :class:`SharedPool` passed in at construction is owned by the
         caller and is deliberately left running.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        if self._owns_pool:
+            self.pool.close()
+            self.pool = None
+            self._owns_pool = False
 
     def __enter__(self) -> "ShardedExperiment":
         return self

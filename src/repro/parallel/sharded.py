@@ -1,43 +1,24 @@
-"""Multi-process sharded decoding.
+"""Picklable decoder recipes and the ``workers=`` knob.
 
-The bit-packed kernels saturate one core; >100k-shot sweep budgets need
-the shot dimension sharded across cores as well.  Decoding is the ideal
-layer to parallelise: shots are statistically independent and
-:meth:`repro.decoders.bposd.BPOSDDecoder.decode_batch` already decodes
-in independent blocks, so splitting a syndrome batch into shard-sized
-slices and decoding each slice in a separate worker process is *exactly*
-equivalent to decoding in-process — the merged corrections and
-convergence flags are bit-identical for any worker count.
-
-Design
-------
-* :class:`DecoderHandle` is a small picklable recipe (check matrix,
-  priors, decoder knobs) from which any process can rebuild an
-  equivalent :class:`~repro.decoders.bposd.BPOSDDecoder`.
-* :class:`ShardedDecoder` owns a ``concurrent.futures``
-  ``ProcessPoolExecutor``.  Workers receive the handle once (via the
-  pool initializer) and build the decoder structure lazily on first use;
-  subsequent tasks only ship per-point priors and the syndrome slice,
-  so sweeps re-prior the cached worker decoders instead of re-pickling
-  the check matrix per point.
-* Shards are submitted in deterministic order and the results are
-  concatenated by shard index, never by completion order, so the merged
-  :class:`~repro.decoders.bposd.DecodeResult` does not depend on worker
-  scheduling.  A worker exception propagates out of
-  :meth:`ShardedDecoder.decode_batch` unchanged.
+:class:`DecoderHandle` is a small picklable recipe (check matrix,
+priors, decoder knobs) from which any process can rebuild an
+equivalent :class:`~repro.decoders.bposd.BPOSDDecoder`; the fused
+pipeline (:mod:`repro.parallel.pipeline`) ships one inside every
+:class:`~repro.parallel.pipeline.ExperimentHandle`.
+:func:`resolve_workers` normalises the ``workers=`` knob every
+multi-process entry point accepts.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.decoders.bposd import BPOSDDecoder, DecodeResult
+from repro.decoders.bposd import BPOSDDecoder
 
-__all__ = ["DecoderHandle", "ShardedDecoder", "resolve_workers"]
+__all__ = ["DecoderHandle", "resolve_workers"]
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -70,20 +51,6 @@ class DecoderHandle:
     block_shots: int = 2048
     factor_cache_size: int = 32
 
-    @classmethod
-    def from_decoder(cls, decoder: BPOSDDecoder) -> "DecoderHandle":
-        """Handle reproducing an existing decoder's configuration."""
-        return cls(
-            check_matrix=decoder.check_matrix,
-            priors=decoder.priors,
-            max_iterations=decoder.max_iterations,
-            osd_order=decoder.osd_order,
-            scaling_factor=decoder.scaling_factor,
-            backend=decoder.backend,
-            block_shots=decoder.block_shots,
-            factor_cache_size=decoder.factor_cache_size,
-        )
-
     def build(self) -> BPOSDDecoder:
         """Construct the decoder this handle describes."""
         return BPOSDDecoder(
@@ -99,165 +66,3 @@ class DecoderHandle:
     def with_priors(self, priors: np.ndarray) -> "DecoderHandle":
         """Same structure, new per-mechanism priors (sweep re-point)."""
         return replace(self, priors=np.asarray(priors, dtype=float))
-
-
-# Per-process worker state: the handle arrives once via the pool
-# initializer; the decoder it describes is built lazily on the first
-# shard and re-priored (never rebuilt) on subsequent shards.
-_WORKER_HANDLE: DecoderHandle | None = None
-_WORKER_DECODER: BPOSDDecoder | None = None
-
-
-def _init_worker(handle: DecoderHandle) -> None:
-    global _WORKER_HANDLE, _WORKER_DECODER
-    _WORKER_HANDLE = handle
-    _WORKER_DECODER = None
-
-
-def _decode_shard(priors: np.ndarray,
-                  syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one shard inside a worker process."""
-    global _WORKER_DECODER
-    if _WORKER_HANDLE is None:
-        raise RuntimeError("worker pool was not initialised with a handle")
-    if _WORKER_DECODER is None:
-        _WORKER_DECODER = _WORKER_HANDLE.with_priors(priors).build()
-    else:
-        _WORKER_DECODER.update_priors(priors)
-    result = _WORKER_DECODER.decode_batch(syndromes)
-    return result.errors, result.bp_converged
-
-
-@dataclass
-class ShardedDecoder:
-    """Shard syndrome batches across worker processes.
-
-    Parameters
-    ----------
-    handle:
-        The picklable decoder recipe shared with every worker.
-    workers:
-        Worker-process count (``None`` -> 1 = in-process, ``0`` -> one
-        per core).  With one worker no pool is created at all.
-    shard_shots:
-        Shots per shard (default: the handle's ``block_shots``).  More
-        shards than workers keeps the pool load-balanced when shards
-        decode at different speeds (OSD-heavy shards are slower).
-    max_rebuilds:
-        How many times one :meth:`decode_batch` call respawns a broken
-        pool (a worker died mid-decode) before falling back to the
-        in-process decoder.  Decoding is deterministic per shard, so a
-        retried batch is bit-identical either way.
-
-    The executor is created lazily on the first multi-worker decode and
-    reused across calls — a sweep pays the process-spawn cost once.
-    Call :meth:`close` (or use the instance as a context manager) to
-    release the pool.
-    """
-
-    handle: DecoderHandle
-    workers: int | None = None
-    shard_shots: int | None = None
-    max_rebuilds: int = 2
-    _executor: ProcessPoolExecutor | None = field(
-        default=None, init=False, repr=False)
-    _local: BPOSDDecoder | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.workers = resolve_workers(self.workers)
-        if self.shard_shots is None:
-            self.shard_shots = self.handle.block_shots
-        if self.shard_shots < 1:
-            raise ValueError("shard_shots must be positive")
-
-    # ------------------------------------------------------------------
-    def update_priors(self, priors: np.ndarray) -> None:
-        """Refresh the priors for subsequent decodes (structure kept)."""
-        self.handle = self.handle.with_priors(priors)
-        if self._local is not None:
-            self._local.update_priors(self.handle.priors)
-
-    # ------------------------------------------------------------------
-    def decode_batch(self, syndromes: np.ndarray) -> DecodeResult:
-        """Decode a syndrome batch, sharded across the worker pool.
-
-        Bit-identical to ``handle.build().decode_batch(syndromes)`` for
-        every ``workers`` / ``shard_shots`` setting; a worker exception
-        propagates to the caller.
-        """
-        syndromes = np.atleast_2d(np.asarray(syndromes)).astype(np.uint8)
-        shots = syndromes.shape[0]
-        if self.workers <= 1 or shots <= self.shard_shots:
-            return self._decode_local(syndromes)
-        # A dead worker breaks the whole pool mid-batch; decoding is a
-        # pure function of (priors, syndromes), so the recovery is
-        # simply: respawn the pool (bounded) and re-decode the batch,
-        # falling back to the in-process decoder when the pool keeps
-        # dying.  Either way the merged result is bit-identical.
-        for _ in range(self.max_rebuilds + 1):
-            try:
-                return self._decode_pooled(syndromes, shots)
-            except BrokenExecutor:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False, cancel_futures=True)
-                    self._executor = None
-        return self._decode_local(syndromes)
-
-    def _decode_pooled(self, syndromes: np.ndarray,
-                       shots: int) -> DecodeResult:
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(_decode_shard, self.handle.priors,
-                            syndromes[start:start + self.shard_shots])
-            for start in range(0, shots, self.shard_shots)
-        ]
-        # Merge by submission (shard) order: completion order is
-        # scheduler-dependent and must not leak into the result.
-        errors_parts = []
-        converged_parts = []
-        for future in futures:
-            errors, converged = future.result()
-            errors_parts.append(errors)
-            converged_parts.append(converged)
-        return DecodeResult(errors=np.concatenate(errors_parts),
-                            bp_converged=np.concatenate(converged_parts))
-
-    def decode(self, syndrome: np.ndarray) -> np.ndarray:
-        """Decode a single syndrome vector (always in-process)."""
-        return self._decode_local(
-            np.atleast_2d(np.asarray(syndrome)).astype(np.uint8)
-        ).errors[0]
-
-    # ------------------------------------------------------------------
-    def _decode_local(self, syndromes: np.ndarray) -> DecodeResult:
-        if self._local is None:
-            self._local = self.handle.build()
-        return self._local.decode_batch(syndromes)
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self.handle,),
-            )
-        return self._executor
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-
-    def __enter__(self) -> "ShardedDecoder":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC backstop
-        try:
-            self.close()
-        except Exception:
-            pass

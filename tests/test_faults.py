@@ -19,9 +19,6 @@ Layer by layer:
 
 from __future__ import annotations
 
-import os
-import signal
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -266,35 +263,6 @@ class TestSharedPoolSelfHealing:
         with pytest.raises(PoolUnavailable):
             _ = pool.executor
         pool.close()
-
-
-class TestShardedDecoderRecovery:
-    def test_dead_worker_recovers_bit_identically(self):
-        """Kill a pool worker between batches: the next decode hits
-        BrokenExecutor, respawns the pool and re-decodes identically."""
-        import numpy as np
-
-        from repro.core.phenomenological import build_phenomenological_model
-        from repro.noise import HardwareNoiseModel
-        from repro.parallel import DecoderHandle, ShardedDecoder
-
-        code = code_by_name("repetition-d3")
-        noise = HardwareNoiseModel.from_physical_error_rate(
-            8e-3, round_latency_us=100.0)
-        model = build_phenomenological_model(code, noise, rounds=2)
-        syndromes, _ = model.sample(96, seed=np.random.SeedSequence(5))
-        handle = DecoderHandle(model.check_matrix, model.priors,
-                               max_iterations=12)
-        reference = handle.build().decode_batch(syndromes)
-        with ShardedDecoder(handle, workers=2, shard_shots=16) as decoder:
-            warm = decoder.decode_batch(syndromes)
-            assert np.array_equal(warm.errors, reference.errors)
-            victim = next(iter(decoder._executor._processes))
-            os.kill(victim, signal.SIGKILL)
-            recovered = decoder.decode_batch(syndromes)
-        assert np.array_equal(recovered.errors, reference.errors)
-        assert np.array_equal(recovered.bp_converged,
-                              reference.bp_converged)
 
 
 class TestCampaignFaultInvariance:

@@ -1,14 +1,18 @@
-"""Tests for multi-process sharded decoding (``repro.parallel``).
+"""Tests for multi-process shot sharding (``repro.parallel``).
 
-The contract under test: sharding the decode of a syndrome batch across
-worker processes is *bit-identical* to decoding in-process, for any
-worker count and shard size, because shots are independent; and worker
-failures must propagate to the caller instead of being swallowed.
+The contracts under test: the ``workers=`` knob; sharding a memory
+experiment across worker processes is *bit-identical* to running it
+in-process, for any worker count; and an experiment given no pool
+builds its own ``SharedPool`` only for multi-shard runs, survives a
+killed worker, and spends the pool's rebuild budget over its whole
+life, so a run that gave up sends every later run in-process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -16,9 +20,16 @@ import pytest
 from repro.codes import code_by_name
 from repro.core.memory import MemoryExperiment
 from repro.core.phenomenological import build_phenomenological_model
-from repro.decoders.bposd import BPOSDDecoder
 from repro.noise import HardwareNoiseModel
-from repro.parallel import DecoderHandle, ShardedDecoder, resolve_workers
+from repro.parallel import (
+    DecoderHandle,
+    ExperimentHandle,
+    FaultPlan,
+    SharedPool,
+    ShardedExperiment,
+    activate,
+    resolve_workers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +38,18 @@ def bb72():
 
 
 @pytest.fixture(scope="module")
-def decode_problem(bb72):
-    """A phenomenological decode problem with a non-trivial OSD fraction."""
+def small_handle():
+    """A cheap phenomenological pipeline with non-trivial failures."""
     noise = HardwareNoiseModel.from_physical_error_rate(
-        3e-3, round_latency_us=100_000.0
+        3e-2, round_latency_us=100.0
     )
-    model = build_phenomenological_model(bb72, noise, rounds=2)
-    syndromes, _ = model.sample(150, seed=42)
-    return model, syndromes
+    model = build_phenomenological_model(code_by_name("repetition-d3"),
+                                         noise, rounds=2)
+    return ExperimentHandle(
+        decoder=DecoderHandle(model.check_matrix, model.priors,
+                              max_iterations=12),
+        observable_matrix=model.observable_matrix,
+    )
 
 
 class TestResolveWorkers:
@@ -50,92 +65,6 @@ class TestResolveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(-2)
-
-
-class TestShardedDecoder:
-    def test_one_worker_equals_in_process(self, decode_problem):
-        model, syndromes = decode_problem
-        handle = DecoderHandle(model.check_matrix, model.priors,
-                               max_iterations=12)
-        reference = handle.build().decode_batch(syndromes)
-        with ShardedDecoder(handle, workers=1) as sharded:
-            result = sharded.decode_batch(syndromes)
-        assert np.array_equal(result.errors, reference.errors)
-        assert np.array_equal(result.bp_converged, reference.bp_converged)
-
-    def test_multi_worker_bit_identical_and_order_independent(
-            self, decode_problem):
-        model, syndromes = decode_problem
-        handle = DecoderHandle(model.check_matrix, model.priors,
-                               max_iterations=12)
-        reference = handle.build().decode_batch(syndromes)
-        # A shard size that neither divides the shot count nor aligns
-        # with the 64-bit word size, so the merge has to stitch ragged
-        # shards back together in exactly the submission order.
-        with ShardedDecoder(handle, workers=2, shard_shots=37) as sharded:
-            result = sharded.decode_batch(syndromes)
-            again = sharded.decode_batch(syndromes)
-        assert np.array_equal(result.errors, reference.errors)
-        assert np.array_equal(result.bp_converged, reference.bp_converged)
-        assert np.array_equal(again.errors, reference.errors)
-
-    def test_priors_update_reaches_workers(self, decode_problem):
-        model, syndromes = decode_problem
-        handle = DecoderHandle(model.check_matrix, model.priors,
-                               max_iterations=12)
-        new_priors = np.clip(model.priors * 2.5, 0.0, 0.4)
-        reference = handle.with_priors(new_priors).build() \
-            .decode_batch(syndromes)
-        with ShardedDecoder(handle, workers=2, shard_shots=37) as sharded:
-            sharded.decode_batch(syndromes)  # warm the worker decoders
-            sharded.update_priors(new_priors)
-            result = sharded.decode_batch(syndromes)
-        assert np.array_equal(result.errors, reference.errors)
-        assert np.array_equal(result.bp_converged, reference.bp_converged)
-
-    def test_single_shard_batches_stay_in_process(self, decode_problem):
-        model, syndromes = decode_problem
-        handle = DecoderHandle(model.check_matrix, model.priors,
-                               max_iterations=12)
-        with ShardedDecoder(handle, workers=4) as sharded:
-            # Batch fits in one shard (shard_shots defaults to 2048):
-            # no pool should ever be spawned.
-            result = sharded.decode_batch(syndromes)
-            assert sharded._executor is None
-        assert result.shots == syndromes.shape[0]
-
-    def test_worker_failure_propagates(self, decode_problem):
-        model, syndromes = decode_problem
-        handle = _ExplodingHandle(model.check_matrix, model.priors,
-                                  max_iterations=12)
-        with ShardedDecoder(handle, workers=2, shard_shots=37) as sharded:
-            with pytest.raises(RuntimeError, match="injected worker failure"):
-                sharded.decode_batch(syndromes)
-
-    def test_decode_single_syndrome(self, decode_problem):
-        model, syndromes = decode_problem
-        handle = DecoderHandle(model.check_matrix, model.priors,
-                               max_iterations=12)
-        reference = handle.build().decode(syndromes[0])
-        with ShardedDecoder(handle, workers=2) as sharded:
-            assert np.array_equal(sharded.decode(syndromes[0]), reference)
-
-    def test_empty_batch(self, decode_problem):
-        model, _ = decode_problem
-        handle = DecoderHandle(model.check_matrix, model.priors)
-        with ShardedDecoder(handle, workers=2) as sharded:
-            result = sharded.decode_batch(
-                np.zeros((0, model.num_detectors), dtype=np.uint8)
-            )
-        assert result.shots == 0
-
-
-@dataclass(frozen=True)
-class _ExplodingHandle(DecoderHandle):
-    """Handle whose decoder construction fails inside the worker."""
-
-    def build(self) -> BPOSDDecoder:
-        raise RuntimeError("injected worker failure")
 
 
 class TestMemoryExperimentWorkers:
@@ -186,3 +115,110 @@ class TestMemoryExperimentWorkers:
                 )
         assert results[0].failures == results[1].failures
         assert results[0].metadata == results[1].metadata
+
+
+class TestOwnedPool:
+    """``ShardedExperiment(workers > 1)`` without ``pool=``."""
+
+    def test_single_shard_runs_stay_in_process(self, small_handle):
+        # shard_shots defaults to 2048, so 150 shots are one shard.
+        with ShardedExperiment(small_handle, workers=4) as sharded:
+            result = sharded.run(150, 7)
+            assert sharded.pool is None
+        assert (result.shots_used, result.num_shards) == (150, 1)
+
+    def test_empty_run_stays_in_process(self, small_handle):
+        with ShardedExperiment(small_handle, workers=4) as sharded:
+            result = sharded.run(0, 7)
+            assert sharded.pool is None
+        assert (result.shots_used, result.num_shards) == (0, 0)
+
+    def test_killed_idle_worker_recovers_bit_identically(self,
+                                                         small_handle):
+        """SIGKILL a pool worker between runs: the next run hits the
+        broken executor, respawns it and reproduces the first run."""
+        with ShardedExperiment(small_handle, workers=2,
+                               shard_shots=16) as sharded:
+            warm = sharded.run(96, 5, collect_errors=True)
+            victim = next(iter(sharded.pool.executor._processes))
+            os.kill(victim, signal.SIGKILL)
+            recovered = sharded.run(96, 5, collect_errors=True)
+            stats = dict(sharded.last_run_stats)
+        assert warm.failures > 0
+        assert recovered.failures == warm.failures
+        assert np.array_equal(recovered.errors, warm.errors)
+        assert np.array_equal(recovered.bp_converged, warm.bp_converged)
+        assert stats["pool_failures"] == 1
+        assert not stats["local_fallback"]
+
+    def test_exhausted_retries_skip_the_pool_on_later_runs(self):
+        """Once a run gives up on its owned pool, later runs go straight
+        in-process without touching the dead pool again."""
+        code = code_by_name("repetition-d3")
+        with MemoryExperiment(code=code, rounds=2, workers=2,
+                              shard_shots=16,
+                              max_shard_retries=1) as experiment:
+            with activate(FaultPlan(kills=tuple(range(64)))):
+                first = experiment.run(3e-2, 100.0, shots=160, seed=5)
+            first_stats = dict(experiment._pipeline.last_run_stats)
+            with activate(None):
+                second = experiment.run(3e-2, 100.0, shots=160, seed=5)
+            stats = dict(experiment._pipeline.last_run_stats)
+        with MemoryExperiment(code=code, rounds=2,
+                              shard_shots=16) as reference:
+            expected = reference.run(3e-2, 100.0, shots=160, seed=5)
+        assert first_stats["local_fallback"]
+        assert stats["local_fallback"]
+        assert stats["pool_failures"] == 0
+        assert expected.failures > 0
+        for result in (first, second):
+            assert ((result.failures, result.shots)
+                    == (expected.failures, expected.shots))
+
+    def test_handle_rides_with_at_most_workers_tasks(self, small_handle):
+        with ShardedExperiment(small_handle, workers=1,
+                               shard_shots=16) as local:
+            expected = local.run(480, 5)
+        with ShardedExperiment(small_handle, workers=2,
+                               shard_shots=16) as sharded:
+            for _ in range(2):
+                result = sharded.run(480, 5)
+                stats = dict(sharded.last_run_stats)
+                assert result.failures == expected.failures
+                assert stats["num_shards"] == 30
+                assert 1 <= stats["handle_payload_tasks"] <= (
+                    sharded.workers + stats["handle_cache_misses"])
+                assert stats["tasks_submitted"] == (
+                    stats["num_shards"] + stats["handle_cache_misses"])
+
+
+class TestRecovery:
+    def test_pool_broken_during_resubmission_is_one_more_failure(
+            self, small_handle, monkeypatch):
+        """A respawned pool that breaks before every lost shard is back
+        in flight costs one more rebuild, not the run."""
+        with ShardedExperiment(small_handle, workers=1,
+                               shard_shots=16) as local:
+            expected = local.run(96, 5)
+
+        class BrokenOnSubmit:
+            def submit(self, *args):
+                raise BrokenProcessPool("broke during resubmission")
+
+        real_rebuild = SharedPool.rebuild
+        rebuilds = []
+
+        def rebuild(pool):
+            executor = real_rebuild(pool)
+            rebuilds.append(executor)
+            return BrokenOnSubmit() if len(rebuilds) == 1 else executor
+
+        monkeypatch.setattr(SharedPool, "rebuild", rebuild)
+        with SharedPool(2) as pool, activate(FaultPlan(kills=(1,))):
+            with ShardedExperiment(small_handle, pool=pool,
+                                   shard_shots=16) as sharded:
+                result = sharded.run(96, 5)
+                stats = dict(sharded.last_run_stats)
+        assert result.failures == expected.failures
+        assert stats["pool_failures"] == 2
+        assert not stats["local_fallback"]

@@ -221,7 +221,7 @@ class TestWorkerCircuitCache:
         the circuit."""
         circuit, handle = self._circuit_setup()
         with ShardedExperiment(handle, workers=2, shard_shots=16) as sharded:
-            executor = sharded._ensure_executor()
+            executor = sharded._ensure_pool().executor
             task_bytes = []
             real_submit = executor.submit
 
@@ -339,7 +339,7 @@ class TestSweepPoolLifetime:
                 sharded.run(128, 0, priors=bad_priors)
             result = sharded.run(128, 0)
             assert result.shots_used == 128
-        assert sharded._executor is None
+        assert sharded.pool is None
 
 
 class TestAdaptiveAllocation:
