@@ -11,15 +11,16 @@ process pool shared by all of the sweep's points, and ``pool=`` (a
 one set of worker processes for all of them.  Results are bit-identical
 for any worker count, pooled or not.
 
-These functions are thin wrappers now: each builds a
+These functions are thin wrappers: each builds a
 :class:`~repro.campaign.spec.SweepSpec` for its registered sweep kind
 (:mod:`repro.campaign.kinds`) and runs it through
-:func:`~repro.campaign.kinds.run_sweep_kind`, which reproduces the
-original bespoke loop bit for bit (one
-:class:`~repro.core.memory.MemoryExperiment` per sweep, one run per
-point in row order).  The same kinds power the ``paper_figures_full``
-campaign spec, where every figure shares one global budget and one
-result store.
+:func:`~repro.campaign.kinds.run_sweep_kind` as a one-sweep campaign
+on no store, so its rows equal that campaign's.  ``shots`` is a fixed
+per-point budget, or with ``target_precision`` the average budget of
+the campaign's pilot/allocate/refine loop (``max_shots`` capping any
+one point).  The same kinds power the ``paper_figures_full`` campaign
+spec, where every figure shares one global budget and one result
+store.
 """
 
 from __future__ import annotations
@@ -158,8 +159,7 @@ def operation_time_sensitivity(code: CSSCode,
                 target_precision, max_shots, pool)
 
 
-def swap_kind_sensitivity(code: CSSCode,
-                          interaction_distance: int = 3) -> ResultTable:
+def swap_kind_sensitivity(code: CSSCode) -> ResultTable:
     """Figure 21: IonSWAP vs GateSWAP execution times for both codesigns.
 
     IonSWAP cost scales with the in-chain interaction distance while
@@ -167,6 +167,5 @@ def swap_kind_sensitivity(code: CSSCode,
     IonSWAP and Cyclone GateSWAP, with Cyclone keeping its advantage
     either way.
     """
-    del interaction_distance
     sweep = SweepSpec(name="swap_kind", code=code.name, kind="swap_kind")
     return run_sweep_kind(sweep, code=code)

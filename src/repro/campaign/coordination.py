@@ -48,6 +48,7 @@ from repro.campaign.store import (
     STORE_VERSION,
     Lease,
     ResultStore,
+    _epoch_of,
 )
 from repro.parallel.faults import InjectedFault, active_plan
 
@@ -304,13 +305,6 @@ def _result_records(path: Path) -> tuple[list[dict], int]:
             continue  # lease events never survive a merge
         records.append(record)
     return records, skipped
-
-
-def _epoch_of(record: dict) -> int:
-    try:
-        return int(record.get("epoch", 0))
-    except (TypeError, ValueError):
-        return 0
 
 
 _PROVENANCE_KEYS = ("worker", "epoch")

@@ -35,34 +35,27 @@ analytic rows (compiled latencies only) that never cost budget.
 
 Execution paths
 ---------------
-:func:`run_sweep_kind` runs one sweep standalone with a fixed per-point
-shot budget — bit-identical to the legacy bespoke functions it
-replaced: one :class:`~repro.core.memory.MemoryExperiment` per sweep
-(sequentially spawned per-run seeds) and one ``run`` per point in
-expansion order.  The campaign orchestrator
-(:mod:`repro.campaign.orchestrator`) drives the same expansion through
-the global pilot/allocate/refine budget with store-resume instead.
+The campaign orchestrator (:mod:`repro.campaign.orchestrator`) is the
+only code that samples a point.  A campaign drives every sweep's
+expansion through one global pilot/allocate/refine budget with
+store-resume; :func:`run_sweep_kind` runs one sweep standalone as a
+one-sweep campaign on no store, so its rows equal that campaign's rows
+(the seed rule is the orchestrator's).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import ExitStack
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, replace
 
 from repro.campaign.scenarios import (
     Scenario,
     build_scenario,
     generate_scenario,
-    report_scenario_mismatch,
-    scenario_run_seed,
 )
 from repro.codes import available_codes, code_by_name
 from repro.codes.css import CSSCode
 from repro.core.codesign import available_codesigns, codesign_by_name
-from repro.core.memory import MemoryExperiment
 from repro.core.results import ResultTable
 from repro.core.stats import as_precision_target
 from repro.qccd.compilers import CycloneCompiler, EJFGridCompiler
@@ -122,7 +115,8 @@ class ExpandedPoint:
     ``seed_entropy`` replaces the campaign's positional seed with the
     point's own stored entropy, so the point replays identically
     outside the campaign.  Points sharing an ``experiment_key`` share
-    one :class:`MemoryExperiment` ("" — the whole sweep shares one).
+    one :class:`~repro.core.memory.MemoryExperiment` ("" — the whole
+    sweep shares one).
     """
 
     row: dict
@@ -242,105 +236,47 @@ def sweep_point_count(sweep) -> int:
 
 
 # ----------------------------------------------------------------------
-# Standalone execution (the legacy bespoke-function path, preserved
-# bit-for-bit: one experiment per sweep, sequential per-run seed
-# spawning, one run per point in expansion order).
+# Standalone execution: a one-sweep campaign on no store.
 
 def run_sweep_kind(sweep, *, code: CSSCode | None = None, shots: int = 200,
                    seed: int = 0, workers: int = 1, pool=None,
                    target_precision=None,
                    max_shots: int | None = None) -> ResultTable:
-    """Run one sweep standalone with a fixed per-point budget.
+    """Run one sweep standalone, as a one-sweep campaign on no store.
 
     ``code`` overrides the registry lookup of ``sweep.code`` (the
     analysis wrappers pass their caller's code object through, so
-    non-registry codes keep working).  ``target_precision`` /
-    ``max_shots`` stream each point to a Wilson-width stop exactly as
-    the legacy figure functions did; ``pool`` shares one worker pool
-    across sweeps.  Points carrying an :class:`OracleCheck` are re-run
-    on the reference backend and must match bit for bit
+    non-registry codes keep working).  Without ``target_precision``
+    every sampled point runs ``shots`` shots (a kind's own pin, such as
+    a scenario's shot count, wins); with it the campaign's
+    pilot/allocate/refine loop spends ``shots`` per point on average,
+    ``max_shots`` capping any one point.  ``pool`` shares one worker
+    pool across sweeps.  Points carrying an :class:`OracleCheck` are
+    re-run on the reference backend and must match bit for bit
     (:class:`~repro.campaign.scenarios.ScenarioMismatch` otherwise).
     """
+    # The orchestrator imports this module.
+    from repro.campaign.orchestrator import run_standalone_sweep
+
     kind = kind_by_name(sweep.kind)
     validate_sweep(sweep)
-    if kind.needs_code and code is None:
-        code = code_by_name(sweep.code)
-    points = kind.expand(sweep, code)
+    if max_shots is not None:
+        sweep = replace(sweep, max_shots=max_shots)
+    points = run_standalone_sweep(
+        sweep, shots=shots, seed=seed,
+        target=as_precision_target(target_precision), code=code,
+        workers=workers, pool=pool)
     columns = list(kind.static_columns(sweep))
     if kind.sampled:
         columns = columns + ["logical_error_rate"]
     table = ResultTable(title=kind.title(sweep), columns=columns)
-    target = as_precision_target(target_precision)
-
-    with ExitStack() as stack:
-        experiments: dict = {}
-
-        def experiment_for(point: ExpandedPoint, backend: str | None = None,
-                           oracle: bool = False) -> MemoryExperiment:
-            key = (point.experiment_key, oracle)
-            experiment = experiments.get(key)
-            if experiment is None:
-                experiment = stack.enter_context(MemoryExperiment(
-                    code=point.code if point.code is not None else code,
-                    rounds=(point.rounds if point.rounds is not None
-                            else sweep.rounds),
-                    basis=(point.basis if point.basis is not None
-                           else sweep.basis),
-                    method=sweep.method,
-                    max_bp_iterations=(
-                        point.max_bp_iterations
-                        if point.max_bp_iterations is not None
-                        else sweep.max_bp_iterations),
-                    osd_order=(point.osd_order if point.osd_order is not None
-                               else sweep.osd_order),
-                    seed=seed,
-                    backend=(backend if backend is not None
-                             else point.backend if point.backend is not None
-                             else sweep.backend),
-                    workers=1 if oracle else workers,
-                    shard_shots=(point.shard_shots
-                                 if point.shard_shots is not None
-                                 else sweep.shard_shots),
-                    pool=None if oracle else pool,
-                ))
-                experiments[key] = experiment
-            return experiment
-
-        for point in points:
-            if not point.sampled:
-                row = dict(point.row)
-                if kind.sampled:
-                    row["logical_error_rate"] = float("nan")
-                table.add_row(**row)
-                continue
-            budget = point.cap if point.cap is not None else shots
-            run_seed = (scenario_run_seed(point.oracle.scenario)
-                        if point.seed_entropy is not None
-                        and point.oracle is not None else None)
-            if run_seed is None and point.seed_entropy is not None:
-                run_seed = np.random.SeedSequence(
-                    entropy=point.seed_entropy, spawn_key=(0,))
-            result = experiment_for(point).run(
-                point.physical_error_rate, point.round_latency_us,
-                shots=budget, target_precision=target, max_shots=max_shots,
-                seed=run_seed)
-            if point.oracle is not None:
-                fast = (point.backend if point.backend is not None
-                        else sweep.backend)
-                reference = experiment_for(
-                    point, backend=point.oracle.reference, oracle=True,
-                ).run(point.physical_error_rate, point.round_latency_us,
-                      shots=budget, target_precision=target,
-                      max_shots=max_shots,
-                      seed=scenario_run_seed(point.oracle.scenario))
-                if ((reference.failures, reference.shots)
-                        != (result.failures, result.shots)):
-                    report_scenario_mismatch(
-                        point.oracle.scenario, fast, point.oracle.reference,
-                        point.oracle.failure_dir,
-                        detail=f"run_sweep_kind({sweep.name!r})")
-            table.add_row(**point.row,
-                          logical_error_rate=result.logical_error_rate)
+    for point in points:
+        row = dict(point.row)
+        if kind.sampled:
+            row["logical_error_rate"] = (
+                point.fields()["logical_error_rate"] if point.sampled
+                else float("nan"))
+        table.add_row(**row)
     return table
 
 

@@ -1,15 +1,17 @@
 """The campaign orchestrator: every sweep, one budget, one pool.
 
-PR 4's adaptive scheduler splits one sweep's budget across that sweep's
-points.  A campaign runs the same pilot/allocate/refine loop **one
-level up**: every curve point of every sweep joins a single pool of
-:class:`~repro.core.sweep.AdaptivePoint` entries, and the global shot
-budget flows to whichever points — in whichever sweeps — still need
-confidence width.  The refine engine itself is shared with the
-single-sweep scheduler (:func:`repro.core.sweep.run_adaptive_refine`),
-so a one-sweep campaign allocates exactly like
-:func:`repro.core.sweep.sweep_physical_error` (the degeneracy the
-property tests pin down).
+A campaign runs the pilot/allocate/refine loop of
+:mod:`repro.core.sweep` **across sweeps**: every curve point of every
+sweep joins a single pool of :class:`~repro.core.sweep.AdaptivePoint`
+entries, and the global shot budget flows to whichever points — in
+whichever sweeps — still need confidence width.
+
+This module is the only code that samples a point.  The standalone
+sweeps (:func:`~repro.campaign.kinds.run_sweep_kind`,
+:func:`~repro.core.sweep.sweep_physical_error`,
+:func:`~repro.core.sweep.sweep_architectures`) are one-sweep campaigns
+on no store (:func:`run_standalone_sweep`), so each equals, byte for
+byte, the one-sweep :func:`run_campaign` of the same sweep.
 
 What a sweep *means* is delegated to the sweep-kind registry
 (:mod:`repro.campaign.kinds`): each kind expands its spec into
@@ -28,13 +30,15 @@ the campaign budget.
 
 Determinism and resume
 ----------------------
-Every point samples from seeds derived as
-``SeedSequence(entropy=spec.seed, spawn_key=(sweep_index, point_index,
-stage))`` — a pure function of the spec, never of execution order — so
-a point's tally does not depend on which other points ran before it.
-(Points that carry their own entropy — a scenario's stored seed — use
-``SeedSequence(entropy=point_entropy, spawn_key=(stage,))`` instead, so
-the stored scenario file replays identically outside the campaign.)
+The seed rule: every point samples stage *s* (pilot 0, refine round
+*r* is *r + 1*) from ``SeedSequence(entropy=spec.seed,
+spawn_key=(sweep_index, point_index, s))`` — a pure function of the
+spec, never of execution order — so a point's tally does not depend on
+which other points ran before it, nor on the worker count.  A
+standalone sweep is sweep 0 of its one-sweep campaign.  (Points that
+carry their own entropy — a scenario's stored seed — use
+``SeedSequence(entropy=point_entropy, spawn_key=(s,))`` instead, so the
+stored scenario file replays identically outside the campaign.)
 Completed points are appended to a :class:`~repro.campaign.store.ResultStore`
 the moment the campaign finalises them; a re-run against the same store
 reuses every record (zero shots sampled) and re-renders the identical
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from repro.campaign.scenarios import report_scenario_mismatch
 from repro.campaign.spec import CampaignSpec, SweepSpec
 from repro.campaign.store import ResultStore, fingerprint
 from repro.codes import code_by_name
+from repro.codes.css import CSSCode
 from repro.core.memory import MemoryExperiment, effective_rounds
 from repro.core.results import PRECISION_COLUMNS, ResultTable
 from repro.core.stats import PrecisionTarget
@@ -287,100 +292,112 @@ def _progress_snapshot(spec: CampaignSpec, points: list[_CampaignPoint],
     }
 
 
+def _sweep_points(sweep: SweepSpec, sweep_index: int,
+                  expanded_points: list[ExpandedPoint],
+                  code: CSSCode | None, budget: int, per_point: int,
+                  seed: int, campaign_fp: str) -> list[_CampaignPoint]:
+    """Resolve one sweep's expanded points against the sweep's knobs.
+
+    A point's own overrides (code, rounds, basis, backend, shard size,
+    decoder knobs, budget pins) win over the sweep's fields.  The
+    store key of a sampled point fingerprints everything that shapes
+    its tally: the campaign fingerprint, the point's position, its
+    full experiment configuration and the kind-specific parameters the
+    expansion attached.  Unsampled points get no key (they never reach
+    the store).
+    """
+    points = []
+    cap_default = (sweep.max_shots if sweep.max_shots is not None
+                   else budget)
+    cap_default = max(1, min(int(cap_default), budget))
+    if sweep.pilot_shots is not None:
+        pilot_default = max(1, int(sweep.pilot_shots))
+    else:
+        pilot_default = default_pilot_shots(per_point)
+    for point_index, expanded in enumerate(expanded_points):
+        point_code = expanded.code if expanded.code is not None else code
+        rounds = effective_rounds(
+            point_code,
+            expanded.rounds if expanded.rounds is not None
+            else sweep.rounds) if point_code is not None else 1
+        basis = (expanded.basis if expanded.basis is not None
+                 else sweep.basis)
+        backend = (expanded.backend if expanded.backend is not None
+                   else sweep.backend)
+        shard_shots = (expanded.shard_shots
+                       if expanded.shard_shots is not None
+                       else sweep.shard_shots)
+        max_bp = (expanded.max_bp_iterations
+                  if expanded.max_bp_iterations is not None
+                  else sweep.max_bp_iterations)
+        osd = (expanded.osd_order if expanded.osd_order is not None
+               else sweep.osd_order)
+        if not expanded.sampled:
+            points.append(_CampaignPoint(
+                sweep_index=sweep_index, point_index=point_index,
+                sweep=sweep, row=dict(expanded.row), sampled=False,
+                physical_error_rate=expanded.physical_error_rate,
+                round_latency_us=expanded.round_latency_us,
+                rounds=rounds, target=sweep.target, cap=0, pilot=0,
+                key="", params={},
+            ))
+            continue
+        cap = cap_default
+        if expanded.cap is not None:
+            cap = max(1, min(int(expanded.cap), budget))
+        pilot = (pilot_default if expanded.pilot is None
+                 else max(1, int(expanded.pilot)))
+        pilot = min(pilot, cap)
+        params = {
+            "campaign": campaign_fp,
+            "sweep": sweep.name,
+            "kind": sweep.kind,
+            "sweep_index": sweep_index,
+            "point_index": point_index,
+            "code": point_code.name if point_code is not None else "",
+            "method": sweep.method,
+            "basis": basis,
+            "backend": backend,
+            "rounds": rounds,
+            "shard_shots": shard_shots,
+            "max_bp_iterations": max_bp,
+            "osd_order": osd,
+            "physical_error_rate": expanded.physical_error_rate,
+            "round_latency_us": expanded.round_latency_us,
+            "target": sweep.target.to_dict(),
+            "cap": cap,
+            "pilot": pilot,
+            "seed": (expanded.seed_entropy
+                     if expanded.seed_entropy is not None else seed),
+        }
+        params.update(expanded.params)
+        points.append(_CampaignPoint(
+            sweep_index=sweep_index, point_index=point_index,
+            sweep=sweep, row=dict(expanded.row), sampled=True,
+            physical_error_rate=expanded.physical_error_rate,
+            round_latency_us=expanded.round_latency_us,
+            rounds=rounds, target=sweep.target, cap=cap, pilot=pilot,
+            key=fingerprint(params), params=params,
+            code=point_code, basis=basis, backend=backend,
+            shard_shots=shard_shots, max_bp_iterations=max_bp,
+            osd_order=osd, experiment_key=expanded.experiment_key,
+            seed_entropy=expanded.seed_entropy,
+            oracle=expanded.oracle,
+        ))
+    return points
+
+
 def _expand_points(spec: CampaignSpec, budget: int,
                    campaign_fp: str) -> list[_CampaignPoint]:
-    """Expand the spec via each sweep's kind (latencies compiled here).
-
-    The store key of a sampled point fingerprints everything that
-    shapes its tally: the campaign fingerprint, the point's position,
-    its full experiment configuration and the kind-specific parameters
-    the expansion attached.  Unsampled points get no key (they never
-    reach the store).
-    """
+    """Expand the spec via each sweep's kind (latencies compiled here)."""
     points = []
     per_point = max(1, budget // max(1, spec.num_points))
     for sweep_index, sweep in enumerate(spec.sweeps):
         kind = kind_by_name(sweep.kind)
         code = code_by_name(sweep.code) if kind.needs_code else None
-        cap_default = (sweep.max_shots if sweep.max_shots is not None
-                       else budget)
-        cap_default = max(1, min(int(cap_default), budget))
-        if sweep.pilot_shots is not None:
-            pilot_default = max(1, int(sweep.pilot_shots))
-        else:
-            pilot_default = default_pilot_shots(per_point)
-        for point_index, expanded in enumerate(kind.expand(sweep, code)):
-            point_code = (expanded.code if expanded.code is not None
-                          else code)
-            rounds = effective_rounds(
-                point_code,
-                expanded.rounds if expanded.rounds is not None
-                else sweep.rounds) if point_code is not None else 1
-            basis = (expanded.basis if expanded.basis is not None
-                     else sweep.basis)
-            backend = (expanded.backend if expanded.backend is not None
-                       else sweep.backend)
-            shard_shots = (expanded.shard_shots
-                           if expanded.shard_shots is not None
-                           else sweep.shard_shots)
-            max_bp = (expanded.max_bp_iterations
-                      if expanded.max_bp_iterations is not None
-                      else sweep.max_bp_iterations)
-            osd = (expanded.osd_order if expanded.osd_order is not None
-                   else sweep.osd_order)
-            if not expanded.sampled:
-                points.append(_CampaignPoint(
-                    sweep_index=sweep_index, point_index=point_index,
-                    sweep=sweep, row=dict(expanded.row), sampled=False,
-                    physical_error_rate=expanded.physical_error_rate,
-                    round_latency_us=expanded.round_latency_us,
-                    rounds=rounds, target=sweep.target, cap=0, pilot=0,
-                    key="", params={},
-                ))
-                continue
-            cap = cap_default
-            if expanded.cap is not None:
-                cap = max(1, min(int(expanded.cap), budget))
-            pilot = (pilot_default if expanded.pilot is None
-                     else max(1, int(expanded.pilot)))
-            pilot = min(pilot, cap)
-            params = {
-                "campaign": campaign_fp,
-                "sweep": sweep.name,
-                "kind": sweep.kind,
-                "sweep_index": sweep_index,
-                "point_index": point_index,
-                "code": point_code.name if point_code is not None else "",
-                "method": sweep.method,
-                "basis": basis,
-                "backend": backend,
-                "rounds": rounds,
-                "shard_shots": shard_shots,
-                "max_bp_iterations": max_bp,
-                "osd_order": osd,
-                "physical_error_rate": expanded.physical_error_rate,
-                "round_latency_us": expanded.round_latency_us,
-                "target": sweep.target.to_dict(),
-                "cap": cap,
-                "pilot": pilot,
-                "seed": (expanded.seed_entropy
-                         if expanded.seed_entropy is not None
-                         else spec.seed),
-            }
-            params.update(expanded.params)
-            points.append(_CampaignPoint(
-                sweep_index=sweep_index, point_index=point_index,
-                sweep=sweep, row=dict(expanded.row), sampled=True,
-                physical_error_rate=expanded.physical_error_rate,
-                round_latency_us=expanded.round_latency_us,
-                rounds=rounds, target=sweep.target, cap=cap, pilot=pilot,
-                key=fingerprint(params), params=params,
-                code=point_code, basis=basis, backend=backend,
-                shard_shots=shard_shots, max_bp_iterations=max_bp,
-                osd_order=osd, experiment_key=expanded.experiment_key,
-                seed_entropy=expanded.seed_entropy,
-                oracle=expanded.oracle,
-            ))
+        points += _sweep_points(sweep, sweep_index, kind.expand(sweep, code),
+                                code, budget, per_point, spec.seed,
+                                campaign_fp)
     return points
 
 
@@ -615,6 +632,49 @@ class _PointRunner:
         if self.provenance is not None:
             record.update(self.provenance(point))
         self.store.append(record)
+
+
+def _pilot_and_refine(runner: _PointRunner, points: list[_CampaignPoint],
+                      budget: int, spent: int = 0, stop=None,
+                      interrupt=None, after_pilot=None, after_round=None,
+                      before_round=None) -> None:
+    """Spend ``budget`` on ``points`` (``spent`` of it already gone).
+
+    Pilot: a streamed taste of every point, in order, within what is
+    left of the budget.  Allocate / refine: the single-sweep engine
+    (:func:`run_adaptive_refine`) over the same points, one level up.
+    ``stop`` is polled before every pilot and after the refine; once it
+    fires, ``interrupt(message)`` must raise.  ``after_pilot(point)``
+    and the refine engine's ``after_round``/``before_round`` hooks let
+    :func:`run_campaign` flush, adopt and report; a standalone sweep
+    passes none of them.
+    """
+    for point in points:
+        if stop is not None and stop():
+            interrupt("campaign interrupted during pilot")
+        allocation = min(point.pilot, point.cap, max(0, budget - spent))
+        if allocation > 0:
+            failures, used = runner.sample(point, allocation, (0, 0),
+                                           stage=0)
+            point.tally[0] += failures
+            point.tally[1] += used
+            spent += used
+        if after_pilot is not None:
+            after_pilot(point)
+    adaptive = [
+        AdaptivePoint(
+            target=point.target, cap=point.cap,
+            runner=(lambda allocation, prior, round_index, *,
+                    _point=point: runner.sample(
+                        _point, allocation, prior, stage=round_index + 1)),
+            tally=point.tally,
+        )
+        for point in points
+    ]
+    run_adaptive_refine(adaptive, budget, spent, after_round=after_round,
+                        should_stop=stop, before_round=before_round)
+    if stop is not None and stop():
+        interrupt("campaign interrupted during refine")
 
 
 class JoinedCampaign:
@@ -1006,7 +1066,6 @@ def run_campaign(spec: CampaignSpec,
         point.reused = True
         shots_reused += point.tally[1]
 
-    spent = shots_reused
     shots_external = 0
     fresh = [point for point in sampled_points if not point.reused]
 
@@ -1088,48 +1147,21 @@ def run_campaign(spec: CampaignSpec,
             flush(point)
         raise CampaignInterrupted(message)
 
+    def flush_pilot(point: _CampaignPoint) -> None:
+        flush(point)
+        emit("pilot")
+
+    def flush_round(round_index: int) -> None:
+        for point in fresh:
+            flush(point)
+        emit("refine", round_index)
+
     with runner:
         emit("reuse")
-
-        # Pilot: a streamed taste of every fresh point, in spec order.
-        for point in fresh:
-            if stop is not None and stop():
-                interrupt("campaign interrupted during pilot")
-            allocation = min(point.pilot, point.cap,
-                             max(0, effective_budget - spent))
-            if allocation > 0:
-                failures, used = runner.sample(point, allocation, (0, 0),
-                                               stage=0)
-                point.tally[0] += failures
-                point.tally[1] += used
-                spent += used
-            flush(point)
-            emit("pilot")
-
-        # Allocate / refine the global pool across every fresh point of
-        # every sweep — the single-sweep engine, one level up.
-        adaptive = [
-            AdaptivePoint(
-                target=point.target, cap=point.cap,
-                runner=(lambda allocation, prior, round_index, *,
-                        _point=point: runner.sample(
-                            _point, allocation, prior,
-                            stage=round_index + 1)),
-                tally=point.tally,
-            )
-            for point in fresh
-        ]
-
-        def flush_round(round_index: int) -> None:
-            for point in fresh:
-                flush(point)
-            emit("refine", round_index)
-
-        run_adaptive_refine(adaptive, effective_budget, spent,
-                            after_round=flush_round, should_stop=stop,
-                            before_round=adopt_external)
-        if stop is not None and stop():
-            interrupt("campaign interrupted during refine")
+        _pilot_and_refine(runner, fresh, effective_budget, shots_reused,
+                          stop=stop, interrupt=interrupt,
+                          after_pilot=flush_pilot, after_round=flush_round,
+                          before_round=adopt_external)
 
         # One last look before force-flushing: a final that landed
         # elsewhere after our last round must win over our
@@ -1159,3 +1191,59 @@ def run_campaign(spec: CampaignSpec,
         targets_met=targets_met,
         store_path=str(store.path) if store is not None else None,
     )
+
+
+#: The target of a fixed-budget standalone sweep: no tally of practical
+#: size is this tight, so every point spends exactly its cap.
+_FIXED_BUDGET_TARGET = PrecisionTarget(half_width=1e-9)
+
+
+def run_standalone_sweep(sweep: SweepSpec, *, shots: int, seed: int,
+                         target: PrecisionTarget | None = None,
+                         points: list[ExpandedPoint] | None = None,
+                         code: CSSCode | None = None, workers: int = 1,
+                         pool: SharedPool | None = None
+                         ) -> list[_CampaignPoint]:
+    """Run one sweep as a one-sweep campaign on no store.
+
+    The engine behind :func:`~repro.campaign.kinds.run_sweep_kind`,
+    :func:`~repro.core.sweep.sweep_physical_error` and
+    :func:`~repro.core.sweep.sweep_architectures`.  ``points`` defaults
+    to the kind's expansion of ``sweep``; callers holding raw latencies
+    or :class:`~repro.core.codesign.Codesign` objects build their own.
+    ``code`` stands in for the registry lookup of ``sweep.code`` (codes
+    outside the registry).
+
+    Without a ``target`` every sampled point gets ``pilot = cap =
+    shots`` (a kind's pins win) under an unreachable target, so the
+    budget is the sum of the caps and no point stops early.  With one,
+    the campaign's pilot/allocate/refine loop spends ``shots`` per
+    point on average under the sweep's ``max_shots``/``pilot_shots``.
+    Either way the sweep is sweep 0 under the module's seed rule, so
+    the returned points carry the same tallies as the one-sweep
+    :func:`run_campaign` of the rewritten sweep, for any ``workers``.
+    """
+    kind = kind_by_name(sweep.kind)
+    if code is None and kind.needs_code:
+        code = code_by_name(sweep.code)
+    if points is None:
+        points = kind.expand(sweep, code)
+    sampled = [point for point in points if point.sampled]
+    if target is None:
+        sweep = replace(sweep, target=_FIXED_BUDGET_TARGET,
+                        max_shots=shots, pilot_shots=shots)
+        budget = sum(shots if point.cap is None else point.cap
+                     for point in sampled)
+    else:
+        sweep = replace(sweep, target=target)
+        budget = shots * len(sampled)
+    resolved = _sweep_points(sweep, 0, points, code, budget,
+                             max(1, shots), seed, campaign_fp="")
+    fresh = [point for point in resolved if point.sampled]
+    if fresh:
+        spec = CampaignSpec(name=sweep.name, sweeps=(sweep,),
+                            budget=budget, seed=seed)
+        with _PointRunner(spec, None, "", workers=workers,
+                          pool=pool) as runner:
+            _pilot_and_refine(runner, fresh, budget)
+    return resolved

@@ -14,29 +14,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-__all__ = ["ResultTable", "PRECISION_COLUMNS", "precision_fields"]
+__all__ = ["ResultTable", "PRECISION_COLUMNS"]
 
 #: Streaming-precision columns shared by every LER-producing sweep
 #: table: the shots that actually contributed (early stopping may leave
 #: part of the budget unspent), the Wilson confidence bounds on the
 #: failure probability, and whether the point stopped early.
 PRECISION_COLUMNS = ["shots_used", "ci_low", "ci_high", "stopped_early"]
-
-
-def precision_fields(result: Any) -> dict[str, Any]:
-    """Row fragment for :data:`PRECISION_COLUMNS`.
-
-    Duck-typed over any result carrying ``shots``/``ci_low``/
-    ``ci_high``/``stopped_early`` (``MemoryResult``,
-    ``PipelineResult``), so every sweep surfaces the same columns
-    without re-deriving them.
-    """
-    return {
-        "shots_used": getattr(result, "shots_used", result.shots),
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "stopped_early": result.stopped_early,
-    }
 
 
 @dataclass

@@ -31,6 +31,12 @@ Every step is a pure function of shard-prefix tallies, so the whole
 adaptive sweep inherits the pipeline's determinism contract: results
 are bit-identical for any ``workers=`` at fixed ``shard_shots`` /
 ``target_precision`` / ``pilot_shots``.
+
+This module holds the allocation engine; the sampling itself is the
+campaign orchestrator's.  :func:`sweep_physical_error` and
+:func:`sweep_architectures` run as one-sweep campaigns on no store
+(:func:`~repro.campaign.orchestrator.run_standalone_sweep`), so their
+rows equal that campaign's rows and follow its seed rule.
 """
 
 from __future__ import annotations
@@ -40,8 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.codes.css import CSSCode
 from repro.core.codesign import Codesign
-from repro.core.memory import MemoryExperiment
-from repro.core.results import PRECISION_COLUMNS, ResultTable, precision_fields
+from repro.core.results import PRECISION_COLUMNS, ResultTable
 from repro.core.spacetime import spacetime_cost
 from repro.core.stats import PrecisionTarget, as_precision_target, binomial_interval
 
@@ -219,16 +224,6 @@ def run_adaptive_refine(points: Sequence[AdaptivePoint], global_budget: int,
     return spent
 
 
-def _fixed_point_fields(result) -> dict:
-    fields = {
-        "failures": result.failures,
-        "logical_error_rate": result.logical_error_rate,
-        "ler_per_round": result.logical_error_rate_per_round,
-    }
-    fields.update(precision_fields(result))
-    return fields
-
-
 def tally_point_fields(failures: int, shots: int, rounds: int,
                        target: PrecisionTarget, cap: int) -> dict:
     """Row fragment for a pilot+refine tally (mirrors ``MemoryResult``).
@@ -254,64 +249,34 @@ def tally_point_fields(failures: int, shots: int, rounds: int,
     }
 
 
-def _run_points(experiment: MemoryExperiment,
-                points: Sequence[tuple[float, float]], shots: int,
-                target_precision, max_shots: int | None,
-                pilot_shots: int | None) -> list[dict]:
-    """Estimate the LER of every ``(p, latency)`` point.
+def _sample_rows(code: CSSCode,
+                 points: Sequence[tuple[dict, float, float]], *,
+                 shots: int, seed: int, target_precision, workers: int,
+                 **sweep_fields) -> list[dict]:
+    """Sample ``(row, p, latency)`` points as a one-sweep campaign.
 
-    Fixed budget (``target_precision is None``): one ``shots``-shot run
-    per point.  Otherwise the adaptive pilot/allocate/refine loop
-    described in the module docstring, under a global budget of
-    ``shots`` per point with a per-point cap of ``max_shots`` (default:
-    the whole global budget may concentrate on one point).
+    ``sweep_fields`` (kind, decoder and budget knobs) build the
+    :class:`~repro.campaign.spec.SweepSpec` the campaign engine runs
+    (:func:`~repro.campaign.orchestrator.run_standalone_sweep`).
+    Returns each row merged with its tally fields.
     """
-    target = as_precision_target(target_precision)
-    if target is None:
-        return [
-            _fixed_point_fields(experiment.run(p, latency, shots=shots))
-            for p, latency in points
-        ]
+    if not points:
+        return []
+    # ``repro.campaign`` imports ``repro.core``: reach it lazily.
+    from repro.campaign.kinds import ExpandedPoint
+    from repro.campaign.orchestrator import run_standalone_sweep
+    from repro.campaign.spec import SweepSpec
 
-    num_points = len(points)
-    global_budget = int(shots) * num_points
-    cap = int(max_shots) if max_shots is not None else global_budget
-    cap = max(1, min(cap, global_budget))
-    if pilot_shots is None:
-        pilot = default_pilot_shots(shots)
-    else:
-        pilot = max(1, int(pilot_shots))
-    pilot = min(pilot, cap)
-
-    def runner_for(p: float, latency: float):
-        def runner(allocation: int, prior: tuple[int, int],
-                   round_index: int) -> tuple[int, int]:
-            del round_index  # seeds spawn sequentially off the experiment
-            result = experiment.run(p, latency, shots=allocation,
-                                    target_precision=target,
-                                    prior_tally=prior)
-            return result.failures, result.shots
-        return runner
-
-    # Pilot: a streamed taste of every point (cheap points may already
-    # meet the target and never see a refine run).
-    adaptive_points = []
-    for p, latency in points:
-        result = experiment.run(p, latency, shots=pilot,
-                                target_precision=target)
-        adaptive_points.append(AdaptivePoint(
-            target=target, cap=cap, runner=runner_for(p, latency),
-            tally=[result.failures, result.shots],
-        ))
-    spent = sum(point.tally[1] for point in adaptive_points)
-
-    run_adaptive_refine(adaptive_points, global_budget, spent)
-
-    return [
-        tally_point_fields(point.tally[0], point.tally[1],
-                           experiment.rounds, target, cap)
-        for point in adaptive_points
-    ]
+    sweep = SweepSpec(name=sweep_fields["kind"], code=code.name,
+                      **sweep_fields)
+    resolved = run_standalone_sweep(
+        sweep, shots=shots, seed=seed,
+        target=as_precision_target(target_precision), code=code,
+        workers=workers,
+        points=[ExpandedPoint(row=row, physical_error_rate=p,
+                              round_latency_us=latency)
+                for row, p, latency in points])
+    return [{**point.row, **point.fields()} for point in resolved]
 
 
 def sweep_physical_error(code: CSSCode, round_latency_us: float,
@@ -349,15 +314,16 @@ def sweep_physical_error(code: CSSCode, round_latency_us: float,
         columns=["p", "round_latency_us", "failures", "logical_error_rate",
                  "ler_per_round"] + PRECISION_COLUMNS,
     )
-    with MemoryExperiment(code=code, rounds=rounds, method=method,
-                          seed=seed, backend=backend, workers=workers,
-                          shard_shots=shard_shots) as experiment:
-        outcomes = _run_points(
-            experiment, [(p, round_latency_us) for p in rates], shots,
-            target_precision, max_shots, pilot_shots,
-        )
-    for p, fields in zip(rates, outcomes):
-        table.add_row(p=p, round_latency_us=round_latency_us, **fields)
+    for row in _sample_rows(
+            code,
+            [({"p": p, "round_latency_us": round_latency_us}, p,
+              round_latency_us) for p in rates],
+            shots=shots, seed=seed, target_precision=target_precision,
+            workers=workers, kind="physical_error",
+            physical_error_rates=tuple(rates), rounds=rounds,
+            method=method, backend=backend, shard_shots=shard_shots,
+            max_shots=max_shots, pilot_shots=pilot_shots):
+        table.add_row(**row)
     return table
 
 
@@ -388,10 +354,9 @@ def sweep_architectures(code: CSSCode, codesigns: Sequence[Codesign],
     table = ResultTable(
         title=f"Architecture sweep: {code.name}", columns=columns,
     )
-    compiled_designs = [codesign.compile(code) for codesign in codesigns]
     rows = []
-    for codesign, compiled in zip(codesigns, compiled_designs):
-        cost = spacetime_cost(compiled)
+    for codesign in codesigns:
+        compiled = codesign.compile(code)
         rows.append({
             "codesign": codesign.name,
             "execution_time_us": compiled.execution_time_us,
@@ -399,26 +364,22 @@ def sweep_architectures(code: CSSCode, codesigns: Sequence[Codesign],
             "num_junctions": compiled.metadata.get("num_junctions", 0),
             "num_ancilla": compiled.metadata.get("num_ancilla", 0),
             "dac_count": compiled.metadata.get("dac_count", 0),
-            "spacetime_cost": cost.cost,
+            "spacetime_cost": spacetime_cost(compiled).cost,
             "parallelization": compiled.parallelization_fraction,
         })
     if physical_error_rate is not None:
-        # One cached experiment serves every codesign: only the latency
-        # (and hence the priors) changes between operating points.
-        with MemoryExperiment(code=code, rounds=rounds, method=method,
-                              seed=seed, workers=workers,
-                              shard_shots=shard_shots) as experiment:
-            outcomes = _run_points(
-                experiment,
-                [(physical_error_rate, compiled.execution_time_us)
-                 for compiled in compiled_designs],
-                shots, target_precision, max_shots, pilot_shots,
-            )
-        for row, fields in zip(rows, outcomes):
-            fields = dict(fields)
-            fields.pop("failures", None)
-            fields.pop("ler_per_round", None)
-            row.update(p=physical_error_rate, **fields)
+        rows = _sample_rows(
+            code,
+            [({**row, "p": physical_error_rate}, physical_error_rate,
+              row["execution_time_us"]) for row in rows],
+            shots=shots, seed=seed, target_precision=target_precision,
+            workers=workers, kind="architectures",
+            codesigns=tuple(codesign.name for codesign in codesigns),
+            physical_error_rate=physical_error_rate, rounds=rounds,
+            method=method, shard_shots=shard_shots, max_shots=max_shots,
+            pilot_shots=pilot_shots)
+        for row in rows:
+            del row["failures"], row["ler_per_round"]
     for row in rows:
         table.add_row(**row)
     return table

@@ -452,9 +452,9 @@ class SharedPool:
     across all of them, with per-handle worker state resolved through
     :func:`_run_shard`'s fingerprint-keyed cache.
 
-    Pass it as ``ShardedExperiment(pool=...)`` (or
-    ``MemoryExperiment(pool=...)``); the experiments then treat the
-    pool as externally owned — their ``close()`` leaves it running.
+    Pass it as the ``pool=`` of a ``ShardedExperiment`` or a
+    ``MemoryExperiment``; the experiments then treat the pool as
+    externally owned — their ``close()`` leaves it running.
     Use as a context manager, or call :meth:`close`, to shut it down.
     An experiment given no pool builds and owns one of its own.
 

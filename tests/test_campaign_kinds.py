@@ -5,9 +5,12 @@ parity-tested here against a frozen replica of its legacy
 implementation: same code, same seed, same shot budget — the rendered
 tables must match byte for byte (``to_json``).  The replicas are
 deliberate copies of the pre-migration code paths (one
-:class:`MemoryExperiment` per sweep, sequentially spawned per-run
-seeds, one ``run`` per table row in order); if a kind's expansion ever
-reorders points or re-seeds differently, these tests catch it.
+:class:`MemoryExperiment` per sweep, one ``run`` per table row in
+order), seeded by the campaign's rule: row *i* samples from
+``SeedSequence(entropy=seed, spawn_key=(0, i, 0))``.  If a kind's
+expansion ever reorders points or re-seeds differently, these tests
+catch it.  A standalone sweep must also equal, row for row, the
+one-sweep campaign of the same sweep.
 
 The campaign-level tests exercise multi-kind specs: a mini campaign
 mixing sampled, analytic and migrated kinds resumes from its store
@@ -17,7 +20,10 @@ simulated mid-campaign interruption.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from numpy.random import SeedSequence
 
 import repro.campaign.kinds as kinds_module
 from repro.campaign import (
@@ -39,6 +45,8 @@ from repro.codes import code_by_name
 from repro.core.codesign import codesign_by_name
 from repro.core.memory import MemoryExperiment
 from repro.core.results import ResultTable
+from repro.core.stats import PrecisionTarget
+from repro.core.sweep import sweep_architectures, sweep_physical_error
 from repro.qccd.compilers import CycloneCompiler, EJFGridCompiler
 from repro.qccd.timing import OperationTimes, SwapKind
 
@@ -52,8 +60,11 @@ SEED = 3
 # ----------------------------------------------------------------------
 # Frozen legacy replicas (pre-registry implementations, verbatim).
 
-def _legacy_ler(experiment, p, latency, shots):
-    return experiment.run(p, latency, shots=shots).logical_error_rate
+def _legacy_ler(experiment, p, latency, shots, seed, index):
+    return experiment.run(
+        p, latency, shots=shots,
+        seed=SeedSequence(entropy=seed, spawn_key=(0, index, 0)),
+    ).logical_error_rate
 
 
 def _legacy_depth_speedup(code, p, speedups, shots, rounds, seed):
@@ -65,11 +76,12 @@ def _legacy_depth_speedup(code, p, speedups, shots, rounds, seed):
         columns=["speedup", "round_latency_us", "logical_error_rate"],
     )
     with MemoryExperiment(code=code, rounds=rounds, seed=seed) as experiment:
-        for speedup in speedups:
+        for index, speedup in enumerate(speedups):
             scaled = latency / speedup
             table.add_row(
                 speedup=speedup, round_latency_us=scaled,
-                logical_error_rate=_legacy_ler(experiment, p, scaled, shots),
+                logical_error_rate=_legacy_ler(experiment, p, scaled, shots,
+                                               seed, index),
             )
     return table
 
@@ -87,9 +99,9 @@ def _legacy_junction(code, p, reductions, shots, rounds, seed):
             design="baseline_grid", junction_reduction=0.0,
             execution_time_us=baseline.execution_time_us,
             logical_error_rate=_legacy_ler(
-                experiment, p, baseline.execution_time_us, shots),
+                experiment, p, baseline.execution_time_us, shots, seed, 0),
         )
-        for reduction in reductions:
+        for index, reduction in enumerate(reductions, start=1):
             times = OperationTimes(junction_improvement_factor=reduction)
             mesh = codesign_by_name("mesh_junction",
                                     times=times).compile(code)
@@ -97,7 +109,8 @@ def _legacy_junction(code, p, reductions, shots, rounds, seed):
                 design="mesh_junction", junction_reduction=reduction,
                 execution_time_us=mesh.execution_time_us,
                 logical_error_rate=_legacy_ler(
-                    experiment, p, mesh.execution_time_us, shots),
+                    experiment, p, mesh.execution_time_us, shots, seed,
+                    index),
             )
     return table
 
@@ -114,7 +127,7 @@ def _legacy_trap_arrangement(code, p, trap_counts, shots, rounds, seed,
                  "execution_time_us", "logical_error_rate"],
     )
     with MemoryExperiment(code=code, rounds=rounds, seed=seed) as experiment:
-        for x in trap_counts:
+        for index, x in enumerate(trap_counts):
             x = max(1, min(int(x), m_basis)) if m_basis else 1
             compiled = CycloneCompiler(num_traps=x).compile(code)
             row = {
@@ -126,7 +139,8 @@ def _legacy_trap_arrangement(code, p, trap_counts, shots, rounds, seed,
             }
             if include_ler:
                 row["logical_error_rate"] = _legacy_ler(
-                    experiment, p, compiled.execution_time_us, shots)
+                    experiment, p, compiled.execution_time_us, shots, seed,
+                    index)
             table.add_row(**row)
     return table
 
@@ -138,13 +152,14 @@ def _legacy_loose_capacity(code, p, capacities, shots, rounds, seed):
         columns=["trap_capacity", "execution_time_us", "logical_error_rate"],
     )
     with MemoryExperiment(code=code, rounds=rounds, seed=seed) as experiment:
-        for capacity in capacities:
+        for index, capacity in enumerate(capacities):
             compiled = EJFGridCompiler(trap_capacity=capacity).compile(code)
             table.add_row(
                 trap_capacity=capacity,
                 execution_time_us=compiled.execution_time_us,
                 logical_error_rate=_legacy_ler(
-                    experiment, p, compiled.execution_time_us, shots),
+                    experiment, p, compiled.execution_time_us, shots, seed,
+                    index),
             )
     return table
 
@@ -157,6 +172,7 @@ def _legacy_operation_time(code, p, reductions, shots, rounds, seed):
                  "logical_error_rate"],
     )
     with MemoryExperiment(code=code, rounds=rounds, seed=seed) as experiment:
+        index = 0
         for reduction in reductions:
             times = OperationTimes(improvement_factor=reduction)
             for design in ("baseline", "cyclone"):
@@ -165,8 +181,10 @@ def _legacy_operation_time(code, p, reductions, shots, rounds, seed):
                     reduction=reduction, design=design,
                     execution_time_us=compiled.execution_time_us,
                     logical_error_rate=_legacy_ler(
-                        experiment, p, compiled.execution_time_us, shots),
+                        experiment, p, compiled.execution_time_us, shots,
+                        seed, index),
                 )
+                index += 1
     return table
 
 
@@ -366,6 +384,106 @@ class TestKindParity:
         assert wrapped.to_json() == table.to_json()
         assert swap_kind_sensitivity(code).to_json() == \
             _legacy_swap_kind(code).to_json()
+
+
+# ----------------------------------------------------------------------
+# A standalone sweep is the one-sweep campaign of the same sweep.
+
+NOISY_P = 3e-2  # every point sees failures at these budgets
+SHARD = 16      # several shards per point, so workers=2 uses the pool
+UNREACHABLE = PrecisionTarget(half_width=1e-9)
+
+
+def _one_sweep_campaign(sweep, budget, workers):
+    spec = CampaignSpec(name="one_sweep", sweeps=(sweep,), budget=budget,
+                        seed=SEED)
+    return run_campaign(spec, workers=workers).tables[0]
+
+
+def _assert_rows_match(standalone, campaign):
+    """Every standalone cell equals the campaign's cell in its column."""
+    shared = [column for column in standalone.columns
+              if column in campaign.columns]
+    assert "logical_error_rate" in shared
+    assert any(row["logical_error_rate"] > 0 for row in standalone.rows)
+    assert ([{c: row[c] for c in shared} for row in standalone.rows]
+            == [{c: row[c] for c in shared} for row in campaign.rows])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestStandaloneIsOneSweepCampaign:
+    def test_sampled_kind(self, workers):
+        sweep = SweepSpec(name="fig5", code=CODE, kind="depth_speedup",
+                          physical_error_rate=NOISY_P,
+                          params={"speedups": [1.0, 2.0, 4.0]},
+                          rounds=ROUNDS, shard_shots=SHARD)
+        standalone = run_sweep_kind(sweep, shots=48, seed=SEED,
+                                    workers=workers)
+        campaign = _one_sweep_campaign(
+            replace(sweep, target=UNREACHABLE, max_shots=48,
+                    pilot_shots=48), 3 * 48, workers)
+        _assert_rows_match(standalone, campaign)
+
+    def test_scenario_sweep_runs_its_oracle(self, workers, tmp_path,
+                                            monkeypatch):
+        backends = []
+        real_run = MemoryExperiment.run
+
+        def recording_run(self, *args, **kwargs):
+            backends.append(self.backend)
+            return real_run(self, *args, **kwargs)
+
+        sweep = SweepSpec(name="fuzz", kind="scenario_sweep",
+                          params={"num_scenarios": 2, "shots": 48,
+                                  "scenario_seed": 11,
+                                  "failure_dir": str(tmp_path)})
+        monkeypatch.setattr(MemoryExperiment, "run", recording_run)
+        standalone = run_sweep_kind(sweep, seed=SEED, workers=workers)
+        # Each scenario samples once at its pinned shot count, and the
+        # bool oracle re-draws the same shots.
+        assert backends == ["packed", "bool"] * 2
+        monkeypatch.setattr(MemoryExperiment, "run", real_run)
+        campaign = _one_sweep_campaign(replace(sweep, target=UNREACHABLE),
+                                       2 * 48, workers)
+        _assert_rows_match(standalone, campaign)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("target", [None, 0.05])
+    def test_sweep_physical_error(self, workers, target):
+        code = code_by_name(CODE)
+        latency = codesign_by_name("cyclone").compile(code).execution_time_us
+        rates = (1e-2, NOISY_P)
+        pilot = None if target is None else 16
+        standalone = sweep_physical_error(
+            code, latency, rates, shots=64, rounds=ROUNDS, seed=SEED,
+            workers=workers, shard_shots=SHARD, target_precision=target,
+            pilot_shots=pilot)
+        sweep = SweepSpec(name="ler", code=CODE, kind="physical_error",
+                          codesign="cyclone", physical_error_rates=rates,
+                          rounds=ROUNDS, shard_shots=SHARD)
+        if target is None:
+            sweep = replace(sweep, target=UNREACHABLE, max_shots=64,
+                            pilot_shots=64)
+        else:
+            sweep = replace(sweep, target=PrecisionTarget(half_width=target),
+                            pilot_shots=pilot)
+        campaign = _one_sweep_campaign(sweep, 2 * 64, workers)
+        _assert_rows_match(standalone, campaign)
+        assert standalone.columns == campaign.columns
+
+    def test_sweep_architectures(self, workers):
+        code = code_by_name(CODE)
+        standalone = sweep_architectures(
+            code, [codesign_by_name("baseline"), codesign_by_name("cyclone")],
+            physical_error_rate=NOISY_P, shots=48, rounds=ROUNDS, seed=SEED,
+            workers=workers, shard_shots=SHARD)
+        sweep = SweepSpec(name="arch", code=CODE, kind="architectures",
+                          codesigns=("baseline", "cyclone"),
+                          physical_error_rate=NOISY_P, rounds=ROUNDS,
+                          shard_shots=SHARD, target=UNREACHABLE,
+                          max_shots=48, pilot_shots=48)
+        campaign = _one_sweep_campaign(sweep, 2 * 48, workers)
+        _assert_rows_match(standalone, campaign)
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,7 @@ class TestCommands:
         out_file = tmp_path / "ler.json"
         exit_code = main([
             "memory", "surface-d3", "--codesign", "cyclone",
-            "--physical-error-rates", "3e-3", "2e-2", "--shots", "400",
+            "--physical-error-rates", "3e-3", "2e-2", "--shots", "600",
             "--rounds", "2", "--target-precision", "0.02",
             "--pilot-shots", "64", "--output", str(out_file),
         ])

@@ -295,17 +295,17 @@ class TestSweepPoolLifetime:
     """A mid-sweep failure must release the fused-pipeline worker pool."""
 
     def test_failing_point_releases_pool(self, monkeypatch):
-        import repro.campaign.kinds as kinds_module
+        import repro.campaign.orchestrator as orchestrator_module
 
         created = []
-        real_cls = kinds_module.MemoryExperiment
+        real_cls = orchestrator_module.MemoryExperiment
 
         class CapturingExperiment(real_cls):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 created.append(self)
 
-        monkeypatch.setattr(kinds_module, "MemoryExperiment",
+        monkeypatch.setattr(orchestrator_module, "MemoryExperiment",
                             CapturingExperiment)
 
         real_run = MemoryExperiment.run
