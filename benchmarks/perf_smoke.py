@@ -23,6 +23,12 @@ with the environment variables below (e.g. for a quick CI sanity check):
 * ``REPRO_PERF_CAMPAIGN_BUDGET`` — campaign-resume global budget (3000)
 * ``REPRO_PERF_SERVICE_BUDGET``  — served-campaign global budget    (900)
 
+``"bool"`` is the per-shot reference oracle, so the two sections that
+time it also check it: ``batched_decode`` raises ``RuntimeError`` when
+the packed corrections or BP convergence flags differ from the
+oracle's, and ``memory_experiment`` when the two LERs differ.  Their
+``speedup`` compares packed against that oracle.
+
 The ``native_decode`` section times the headline batched decode under
 ``backend="native"`` (the compiled C kernel tier of
 :mod:`repro.linalg.native`) against ``backend="packed"``, records the
@@ -176,14 +182,20 @@ def bench_batched_decode(shots: int) -> dict:
     model = build_phenomenological_model(code, noise, rounds=6)
     syndromes, _ = model.sample(shots, seed=0)
     timings = {}
-    converged = {}
+    results = {}
     for backend in ("packed", "bool"):
         decoder = BPOSDDecoder(model.check_matrix, model.priors,
                                max_iterations=40, backend=backend)
-        timings[backend], result = _timed(
+        timings[backend], results[backend] = _timed(
             lambda: decoder.decode_batch(syndromes)
         )
-        converged[backend] = float(result.bp_converged.mean())
+    packed, oracle = results["packed"], results["bool"]
+    if not (np.array_equal(packed.errors, oracle.errors)
+            and np.array_equal(packed.bp_converged, oracle.bp_converged)):
+        raise RuntimeError("batched decode: packed corrections or BP "
+                           "convergence flags differ from the bool oracle")
+    converged = {backend: float(result.bp_converged.mean())
+                 for backend, result in results.items()}
     return {
         "description": f"{BB_CODE} phenomenological syndromes, {shots} shots",
         "packed_seconds": timings["packed"],
@@ -289,6 +301,9 @@ def bench_memory_experiment(shots: int) -> dict:
         timings[backend], result = time_memory_experiment(shots,
                                                           backend=backend)
         lers[backend] = result.logical_error_rate
+    if lers["packed"] != lers["bool"]:
+        raise RuntimeError(f"memory experiment: packed LER {lers['packed']} "
+                           f"!= bool oracle LER {lers['bool']}")
     return {
         "description": f"{BB_CODE} memory experiment, {shots} shots, "
                        f"p={PHYSICAL_ERROR_RATE:g}, "

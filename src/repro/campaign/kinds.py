@@ -58,6 +58,7 @@ from repro.codes.css import CSSCode
 from repro.core.codesign import available_codesigns, codesign_by_name
 from repro.core.results import ResultTable
 from repro.core.stats import as_precision_target
+from repro.decoders.bposd import BACKENDS
 from repro.qccd.compilers import CycloneCompiler, EJFGridCompiler
 from repro.qccd.timing import OperationTimes, SwapKind
 
@@ -694,7 +695,7 @@ def _validate_scenario_sweep(sweep) -> None:
     if int(values["shots"]) < 1:
         raise ValueError(f"sweep {sweep.name!r}: scenario shots must be "
                          "positive")
-    if values["check_backend"] not in ("packed", "bool", "native"):
+    if values["check_backend"] not in BACKENDS:
         raise ValueError(f"sweep {sweep.name!r}: check_backend must be "
                          "'packed', 'bool' or 'native'")
 

@@ -46,6 +46,7 @@ from repro.campaign.kinds import (
 )
 from repro.campaign.store import fingerprint
 from repro.core.stats import PrecisionTarget
+from repro.decoders.bposd import BACKENDS
 
 __all__ = [
     "CampaignSpec",
@@ -114,7 +115,7 @@ class SweepSpec:
             raise ValueError("max_shard_retries must be non-negative")
         if self.method not in ("phenomenological", "circuit"):
             raise ValueError("method must be 'phenomenological' or 'circuit'")
-        if self.backend not in ("packed", "bool", "native"):
+        if self.backend not in BACKENDS:
             raise ValueError("backend must be 'packed', 'bool' or 'native'")
         validate_sweep(self)
 

@@ -109,6 +109,7 @@ from repro.core import (
     sweep_physical_error,
 )
 from repro.core.results import ResultTable
+from repro.decoders.bposd import BACKENDS
 from repro.parallel.faults import FaultPlan, InjectedFault, activate
 
 __all__ = ["main", "build_parser"]
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     memory_parser.add_argument("--rounds", type=int, default=None)
     memory_parser.add_argument("--seed", type=int, default=0)
     memory_parser.add_argument(
-        "--backend", choices=("packed", "bool", "native"), default="packed",
+        "--backend", choices=BACKENDS, default="packed",
         help="simulation/decoding kernels: bit-packed (fast, default), "
              "boolean reference, or native (compiled C decoder kernels, "
              "bit-identical to packed; falls back to packed when no C "

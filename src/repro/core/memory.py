@@ -42,6 +42,7 @@ from repro.core.phenomenological import (
     build_spacetime_structure,
 )
 from repro.core.stats import PrecisionTarget, as_precision_target
+from repro.decoders.bposd import BACKENDS
 from repro.linalg.native import simulation_backend
 from repro.noise.hardware import HardwareNoiseModel
 from repro.parallel.pipeline import ExperimentHandle, SharedPool, ShardedExperiment
@@ -222,7 +223,7 @@ class MemoryExperiment:
     def __post_init__(self) -> None:
         if self.method not in ("phenomenological", "circuit"):
             raise ValueError("method must be 'phenomenological' or 'circuit'")
-        if self.backend not in ("packed", "bool", "native"):
+        if self.backend not in BACKENDS:
             raise ValueError("backend must be 'packed', 'bool' or 'native'")
         if self.pool is not None:
             self.workers = self.pool.workers

@@ -3,9 +3,17 @@
 The decoder operates on the Tanner graph of an arbitrary binary check
 matrix (either a code's parity-check matrix or a circuit-level detector
 error model) with independent prior probabilities per error mechanism.
-All shots are decoded simultaneously: messages are stored as
-``(shots, edges)`` arrays and check-node updates use segmented
-reductions, so the Python-level loop is only over BP iterations.
+Every shot follows one rule: it iterates until its hard decision first
+reproduces its syndrome, freezes there, and otherwise reports its state
+after ``max_iterations``.
+
+:meth:`BeliefPropagationDecoder.decode_batch` is the production loop.
+It decodes all shots at once: messages are stored as ``(shots, edges)``
+arrays, check-node updates use segmented reductions, converged shots
+drop out of the arrays, and each iteration's hard decisions are verified
+against syndromes packed into 64-check words.
+:meth:`BeliefPropagationDecoder.decode_reference` is its per-shot
+oracle; both return the same bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ class BPResult:
     (``(shots, mechanisms)`` uint8), ``converged`` marks shots whose
     estimate reproduces the syndrome, and ``posterior_llrs`` holds the
     final per-mechanism log-likelihood ratios (positive = likely no
-    error), which OSD post-processing consumes.
+    error), which OSD post-processing consumes.  ``iterations`` is the
+    most iterations any shot ran.
     """
 
     errors: np.ndarray
@@ -42,9 +51,7 @@ class BeliefPropagationDecoder:
 
     def __init__(self, check_matrix: np.ndarray, priors: np.ndarray,
                  max_iterations: int = 50, scaling_factor: float = 0.75,
-                 clip_llr: float = 30.0, active_set: bool = False,
-                 packed_verification: bool | None = None,
-                 native: bool = False) -> None:
+                 clip_llr: float = 30.0, native: bool = False) -> None:
         check_matrix = np.asarray(check_matrix, dtype=np.uint8)
         if check_matrix.ndim != 2:
             raise ValueError("check matrix must be 2-D")
@@ -52,17 +59,6 @@ class BeliefPropagationDecoder:
         self.max_iterations = int(max_iterations)
         self.scaling_factor = float(scaling_factor)
         self.clip_llr = float(clip_llr)
-        self.active_set = bool(active_set)
-        # Syndrome verification backend: the packed path keeps syndromes
-        # as 64-check words for the whole decode and verifies each
-        # iteration's hard decision with word-level AND/popcount/XOR;
-        # it defaults to following ``active_set`` (i.e. the packed
-        # decoder backend) and produces bit-identical results to the
-        # sparse reference verification.
-        self.packed_verification = (
-            self.active_set if packed_verification is None
-            else bool(packed_verification)
-        )
         # Native kernel tier: the fused C min-sum check update and the
         # one-pass packed syndrome verification.  Both are bit-identical
         # to the numpy paths (the min-sum performs the identical IEEE
@@ -75,10 +71,7 @@ class BeliefPropagationDecoder:
 
             self._native_kernels = get_kernels()
         self.update_priors(priors)
-        self._packed_check_rows = (
-            pack_bits(check_matrix, axis=1) if self.packed_verification
-            else None
-        )
+        self._packed_check_rows = pack_bits(check_matrix, axis=1)
 
         checks, variables = np.nonzero(check_matrix)
         order = np.lexsort((variables, checks))
@@ -88,9 +81,17 @@ class BeliefPropagationDecoder:
         # Loop-invariant edge-position vector of the check update,
         # hoisted out of the per-iteration hot path.
         self._edge_positions = np.arange(self._num_edges)
-        # reduceat segment starts for edges grouped by check index.
+        # Segment start of every check, for the native kernel (which
+        # skips empty segments itself).
         self._check_starts = np.searchsorted(
             self._edge_check, np.arange(check_matrix.shape[0])
+        )
+        # numpy's reduceat reads an element even for an empty segment,
+        # and a trailing empty check starts past the last edge, so the
+        # numpy update reduces over the checks that have edges only:
+        # their segment starts, and each edge's segment index.
+        _, self._segment_starts, self._edge_segment = np.unique(
+            self._edge_check, return_index=True, return_inverse=True
         )
         # Sparse edge -> variable incidence used to accumulate messages.
         self._edge_to_var = sparse.csr_matrix(
@@ -100,8 +101,6 @@ class BeliefPropagationDecoder:
             ),
             shape=(check_matrix.shape[1], self._num_edges),
         )
-        # Sparse check matrix used for fast syndrome verification.
-        self._sparse_check = sparse.csr_matrix(check_matrix.astype(np.int8))
 
     @property
     def num_checks(self) -> int:
@@ -131,139 +130,142 @@ class BeliefPropagationDecoder:
 
     # ------------------------------------------------------------------
     def decode_batch(self, syndromes: np.ndarray) -> BPResult:
-        """Decode a batch of syndromes (shape ``(shots, num_checks)``)."""
+        """Decode a batch of syndromes (shape ``(shots, num_checks)``).
+
+        Converged shots freeze at their first consistent state and drop
+        out of all further message passing; the native kernels run the
+        check update and the verification when they are bound.
+        """
+        syndromes, result = self._start(syndromes)
+        shots = syndromes.shape[0]
+        if shots == 0 or self._num_edges == 0:
+            return result
+        native = self._native_kernels
+        var_to_check = np.tile(self._prior_llrs[self._edge_var], (shots, 1))
+        syndrome_signs = np.where(syndromes, -1.0, 1.0)  # (shots, checks)
+        # The syndromes stay packed as words from here on: one XOR per
+        # 64 checks decides consistency each iteration.
+        syndrome_words = pack_bits(syndromes, axis=1)
+        active = np.arange(shots)
+
+        for iteration in range(1, self.max_iterations + 1):
+            result.iterations = iteration
+            signs = syndrome_signs[active]
+            if native is None:
+                check_to_var = self._check_update(var_to_check, signs)
+            else:
+                check_to_var = native.min_sum_check_update(
+                    var_to_check, signs, self._check_starts,
+                    self.scaling_factor, self.clip_llr,
+                )
+            posterior, var_to_check = self._variable_update(check_to_var)
+
+            errors = (posterior < 0).astype(np.uint8)
+            achieved_words = packed_matmul_words(
+                pack_bits(errors, axis=1), self._packed_check_rows,
+                backend="packed" if native is None else "native",
+            )
+            satisfied = ~np.any(achieved_words ^ syndrome_words[active],
+                                axis=1)
+
+            done = active[satisfied]
+            result.errors[done] = errors[satisfied]
+            result.posterior_llrs[done] = posterior[satisfied]
+            result.converged[done] = True
+            keep = ~satisfied
+            if iteration == self.max_iterations:
+                # Last chance: report the final state of the shots that
+                # never converged.
+                rest = active[keep]
+                result.errors[rest] = errors[keep]
+                result.posterior_llrs[rest] = posterior[keep]
+            active = active[keep]
+            if active.size == 0:
+                break
+            var_to_check = var_to_check[keep]
+        return result
+
+    def decode_reference(self, syndromes: np.ndarray) -> BPResult:
+        """Per-shot oracle for :meth:`decode_batch`.
+
+        Each shot iterates alone through the numpy min-sum (never the
+        native kernel), checks its hard decision with a dense
+        ``H @ e mod 2`` and stops at its first consistent state.  The
+        result must equal :meth:`decode_batch`'s byte for byte.
+        """
+        syndromes, result = self._start(syndromes)
+        if self._num_edges == 0:
+            return result
+        for shot, syndrome in enumerate(syndromes):
+            var_to_check = self._prior_llrs[self._edge_var][np.newaxis, :]
+            signs = np.where(syndrome, -1.0, 1.0)[np.newaxis, :]
+            for iteration in range(1, self.max_iterations + 1):
+                posterior, var_to_check = self._variable_update(
+                    self._check_update(var_to_check, signs))
+                errors = (posterior[0] < 0).astype(np.uint8)
+                result.errors[shot] = errors
+                result.posterior_llrs[shot] = posterior[0]
+                result.iterations = max(result.iterations, iteration)
+                if np.array_equal(self.check_matrix @ errors % 2, syndrome):
+                    result.converged[shot] = True
+                    break
+        return result
+
+    # ------------------------------------------------------------------
+    def _start(self, syndromes: np.ndarray) -> tuple[np.ndarray, BPResult]:
+        """Validated boolean syndromes and the result before iteration 1.
+
+        Errors are zero and posteriors are the priors.  A graph without
+        edges has nothing to iterate on, so there a shot has converged
+        exactly when its syndrome is empty.
+        """
         syndromes = np.atleast_2d(np.asarray(syndromes)).astype(bool)
         if syndromes.shape[1] != self.num_checks:
             raise ValueError(
                 f"syndrome length {syndromes.shape[1]} != {self.num_checks}"
             )
         shots = syndromes.shape[0]
+        converged = np.zeros(shots, dtype=bool)
         if self._num_edges == 0:
-            errors = np.zeros((shots, self.num_mechanisms), dtype=np.uint8)
             converged = ~syndromes.any(axis=1)
-            return BPResult(errors, converged,
-                            np.tile(self._prior_llrs, (shots, 1)), 0)
-
-        edge_var = self._edge_var
-        edge_check = self._edge_check
-        starts = self._check_starts
-        prior = self._prior_llrs
-        active_set = self.active_set
-
-        # Messages variable -> check, initialised with the priors.  With
-        # the active-set optimisation these arrays only ever hold rows
-        # for the still-unconverged shots.
-        var_to_check = np.tile(prior[edge_var], (shots, 1))
-        syndrome_signs = np.where(syndromes, -1.0, 1.0)  # (shots, checks)
-        # Packed verification keeps the syndromes as words from here on:
-        # one XOR per 64 checks decides consistency each iteration.
-        syndrome_words = (
-            pack_bits(syndromes, axis=1) if self.packed_verification else None
+        return syndromes, BPResult(
+            errors=np.zeros((shots, self.num_mechanisms), dtype=np.uint8),
+            converged=converged,
+            posterior_llrs=np.tile(self._prior_llrs, (shots, 1)),
+            iterations=0,
         )
 
-        errors_out = np.zeros((shots, self.num_mechanisms), dtype=np.uint8)
-        posterior_out = np.tile(prior, (shots, 1))
-        converged_out = np.zeros(shots, dtype=bool)
-        active = np.arange(shots)
-        iterations_used = 0
+    def _variable_update(self, check_to_var):
+        """Posterior LLRs and the next (clipped) variable-to-check messages."""
+        accumulated = (self._edge_to_var @ check_to_var.T).T
+        posterior = self._prior_llrs[np.newaxis, :] + accumulated
+        var_to_check = posterior[:, self._edge_var] - check_to_var
+        np.clip(var_to_check, -self.clip_llr, self.clip_llr,
+                out=var_to_check)
+        return posterior, var_to_check
 
-        for iteration in range(1, self.max_iterations + 1):
-            iterations_used = iteration
-            # Only the active-set path pays for subsetting; the reference
-            # path always works on the full arrays.
-            signs_active = syndrome_signs[active] if active_set else syndrome_signs
-            check_to_var = self._check_update(
-                var_to_check, signs_active, edge_check, starts,
-                active.shape[0]
-            )
-            # Variable update: total posterior and extrinsic messages.
-            accumulated = (self._edge_to_var @ check_to_var.T).T
-            posterior = prior[np.newaxis, :] + accumulated
-            var_to_check = posterior[:, edge_var] - check_to_var
-            np.clip(var_to_check, -self.clip_llr, self.clip_llr,
-                    out=var_to_check)
-
-            errors = (posterior < 0).astype(np.uint8)
-            if self.packed_verification:
-                words_active = (
-                    syndrome_words[active] if active_set else syndrome_words
-                )
-                achieved_words = packed_matmul_words(
-                    pack_bits(errors, axis=1), self._packed_check_rows,
-                    backend="native" if self._native_kernels is not None
-                    else "packed",
-                )
-                satisfied = ~np.any(achieved_words ^ words_active, axis=1)
-            else:
-                syndromes_active = (
-                    syndromes[active] if active_set else syndromes
-                )
-                achieved = (self._sparse_check @ errors.T).T % 2
-                satisfied = np.all(achieved.astype(bool) == syndromes_active,
-                                   axis=1)
-
-            if active_set:
-                # Converged shots freeze at their first consistent state
-                # and drop out of all further message passing.
-                done = active[satisfied]
-                errors_out[done] = errors[satisfied]
-                posterior_out[done] = posterior[satisfied]
-                converged_out[done] = True
-                keep = ~satisfied
-                if iteration == self.max_iterations:
-                    # Last chance: report the final state of the shots
-                    # that never converged.
-                    rest = active[keep]
-                    errors_out[rest] = errors[keep]
-                    posterior_out[rest] = posterior[keep]
-                active = active[keep]
-                if active.size == 0:
-                    break
-                var_to_check = var_to_check[keep]
-            else:
-                # Reference semantics: every shot keeps iterating and the
-                # final iteration's state is reported for all of them.
-                errors_out = errors
-                posterior_out = posterior
-                converged_out = satisfied
-                if satisfied.all():
-                    break
-
-        return BPResult(
-            errors=errors_out,
-            converged=converged_out,
-            posterior_llrs=posterior_out,
-            iterations=iterations_used,
-        )
-
-    # ------------------------------------------------------------------
-    def _check_update(self, var_to_check, syndrome_signs, edge_check,
-                      starts, shots):
+    def _check_update(self, var_to_check, syndrome_signs):
         """Scaled min-sum check-node update, vectorized over shots and edges.
 
-        With the native tier bound, the whole update — sign products,
-        first/second minima, clipping and scaling — runs as one fused C
-        pass over the edge segments, bit-identical to the numpy
-        expression below (same IEEE operations in the same order).
+        The native ``min_sum_check_update`` runs the same update as one
+        fused C pass over the edge segments, bit-identical to this numpy
+        expression (same IEEE operations in the same order).
         """
-        if self._native_kernels is not None:
-            return self._native_kernels.min_sum_check_update(
-                var_to_check, syndrome_signs, self._check_starts,
-                self.scaling_factor, self.clip_llr,
-            )
+        starts = self._segment_starts
+        edge_segment = self._edge_segment
         abs_messages = np.abs(var_to_check)
         signs = np.where(var_to_check < 0, -1.0, 1.0)
 
         # Product of signs per check, then exclude self by dividing.
         sign_products = np.multiply.reduceat(signs, starts, axis=1)
-        sign_excluding_self = sign_products[:, edge_check] * signs
+        sign_excluding_self = sign_products[:, edge_segment] * signs
 
         # Minimum excluding self: min and "second minimum" per check.  Only
         # the *first* edge attaining the minimum in each check group is
         # treated as "the minimum edge"; tied edges keep the minimum as
         # their excluding-self value (another copy of it remains).
         min_per_check = np.minimum.reduceat(abs_messages, starts, axis=1)
-        min_at_edges = min_per_check[:, edge_check]
+        min_at_edges = min_per_check[:, edge_segment]
         edge_positions = self._edge_positions
         candidate_positions = np.where(
             abs_messages <= min_at_edges, edge_positions, self._num_edges
@@ -271,10 +273,12 @@ class BeliefPropagationDecoder:
         first_min_position = np.minimum.reduceat(
             candidate_positions, starts, axis=1
         )
-        is_first_minimum = edge_positions == first_min_position[:, edge_check]
+        is_first_minimum = (
+            edge_positions == first_min_position[:, edge_segment]
+        )
         masked = np.where(is_first_minimum, np.inf, abs_messages)
         second_min_per_check = np.minimum.reduceat(masked, starts, axis=1)
-        second_at_edges = second_min_per_check[:, edge_check]
+        second_at_edges = second_min_per_check[:, edge_segment]
         min_excluding_self = np.where(
             is_first_minimum, second_at_edges, min_at_edges
         )
@@ -282,5 +286,5 @@ class BeliefPropagationDecoder:
         # conceptually; clip instead.
         min_excluding_self = np.minimum(min_excluding_self, self.clip_llr)
 
-        total_sign = syndrome_signs[:, edge_check] * sign_excluding_self
+        total_sign = syndrome_signs[:, self._edge_check] * sign_excluding_self
         return self.scaling_factor * total_sign * min_excluding_self

@@ -9,9 +9,10 @@ keeps the non-pivot columns at zero; OSD-E additionally tries all
 low-weight patterns on the ``osd_order`` least-reliable non-pivot
 columns and keeps the most likely consistent solution.
 
-Three backends are provided.  ``backend="packed"`` (default) runs BP
-with an active-set mask (converged shots drop out of message passing)
-and OSD-E with a single Gauss-Jordan factorization per shot that is
+Three backends are provided (:data:`BACKENDS`).  ``backend="packed"``
+(default) runs the production BP loop
+(:meth:`~repro.decoders.bp.BeliefPropagationDecoder.decode_batch`) and
+OSD-E with a single Gauss-Jordan factorization per shot that is
 reused across all ``2**osd_order`` trial patterns — and shared across
 *shots* whose BP posteriors produce the same column order (a keyed
 cache in :class:`~repro.decoders.gf2dense.PackedGF2Matrix`, common at
@@ -21,9 +22,10 @@ check update, the packed syndrome verification and the OSD
 Gauss-Jordan eliminations — through the compiled C tier
 (:mod:`repro.linalg.native`), bit-identical to ``"packed"`` and
 silently degrading to it on hosts without a C toolchain.
-``backend="bool"`` is the reference implementation: full-batch BP and
-a fresh elimination per trial pattern.  All return identical
-corrections for identical BP soft output.
+``backend="bool"`` is the reference oracle: the per-shot BP loop
+(:meth:`~repro.decoders.bp.BeliefPropagationDecoder.decode_reference`)
+and a fresh elimination per trial pattern.  All three return identical
+corrections and convergence flags.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ import numpy as np
 from repro.decoders.bp import BeliefPropagationDecoder
 from repro.decoders.gf2dense import PackedGF2Matrix
 
-__all__ = ["BPOSDDecoder", "DecodeResult"]
+__all__ = ["BACKENDS", "BPOSDDecoder", "DecodeResult"]
+
+#: Decoder backends, in the order the CLI lists them.
+BACKENDS = ("packed", "bool", "native")
 
 
 @dataclass
@@ -62,7 +67,7 @@ class BPOSDDecoder:
                  scaling_factor: float = 0.75,
                  backend: str = "packed", block_shots: int = 2048,
                  factor_cache_size: int = 32) -> None:
-        if backend not in ("packed", "bool", "native"):
+        if backend not in BACKENDS:
             raise ValueError("backend must be 'packed', 'bool' or 'native'")
         if block_shots < 1:
             raise ValueError("block_shots must be positive")
@@ -80,8 +85,6 @@ class BPOSDDecoder:
         self._bp = BeliefPropagationDecoder(
             self.check_matrix, self.priors,
             max_iterations=max_iterations, scaling_factor=scaling_factor,
-            active_set=(backend != "bool"),
-            packed_verification=(backend != "bool"),
             native=(backend == "native"),
         )
         self._packed = PackedGF2Matrix(self.check_matrix,
@@ -122,20 +125,20 @@ class BPOSDDecoder:
     def decode_batch(self, syndromes: np.ndarray) -> DecodeResult:
         """Decode a batch of syndromes, OSD-completing BP failures.
 
-        The packed backend decodes in blocks of ``block_shots`` shots so
-        BP's ``(shots, edges)`` message temporaries stay memory-bounded;
+        Shots are decoded in blocks of ``block_shots`` so BP's
+        ``(shots, edges)`` message temporaries stay memory-bounded;
         shots are decoded independently, so blocking never changes the
-        result.  The boolean reference backend processes the whole batch
-        at once, as the seed implementation did.
+        result.
         """
         syndromes = np.atleast_2d(np.asarray(syndromes)).astype(np.uint8)
         shots = syndromes.shape[0]
-        block = self.block_shots if self.backend != "bool" else max(shots, 1)
+        decode_bp = (self._bp.decode_reference if self.backend == "bool"
+                     else self._bp.decode_batch)
         errors_parts = []
         converged_parts = []
-        for start in range(0, shots, block):
-            stop = start + block
-            bp_result = self._bp.decode_batch(syndromes[start:stop])
+        for start in range(0, shots, self.block_shots):
+            stop = start + self.block_shots
+            bp_result = decode_bp(syndromes[start:stop])
             errors = bp_result.errors.copy()
             unconverged = np.nonzero(~bp_result.converged)[0]
             if unconverged.size:

@@ -232,39 +232,47 @@ class TestBeliefPropagation:
         assert result.posterior_llrs.shape == (2, 5)
         assert (result.posterior_llrs > 0).all()
 
+    @pytest.mark.parametrize("backend", ["packed", "bool", "native"])
+    def test_trailing_empty_check_decodes(self, backend):
+        # An all-zero last row starts its reduceat segment past the last
+        # edge; every backend must decode it like any other check.
+        check = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 0]], dtype=np.uint8)
+        errors = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                          dtype=np.uint8)
+        syndromes = (errors @ check.T) % 2
+        decoder = BPOSDDecoder(check, np.full(3, 0.1), max_iterations=10,
+                               backend=backend)
+        result = decoder.decode_batch(syndromes)
+        assert result.bp_converged.all()
+        assert np.array_equal(result.errors, errors)
+
+
+def _assert_same_bp(a, b):
+    """Two BP results agree byte for byte."""
+    assert np.array_equal(a.errors, b.errors)
+    assert np.array_equal(a.converged, b.converged)
+    assert np.array_equal(a.posterior_llrs, b.posterior_llrs)
+    assert a.iterations == b.iterations
+
 
 class TestPackedSyndromeVerification:
-    """The word-packed verification path must match the sparse reference
-    bit-for-bit: same convergence flags, same errors, same posteriors."""
+    """``decode_batch`` verifies each iteration on 64-check words; it must
+    match the per-shot oracle, which verifies with a dense ``H @ e mod 2``,
+    bit-for-bit: same convergence flags, errors, posteriors and iteration
+    count, with the numpy and the native kernels alike."""
 
-    @pytest.mark.parametrize("active_set", [False, True])
-    def test_bit_identical_to_sparse_verification(self, active_set):
+    @pytest.mark.parametrize("native", [False, True])
+    def test_bit_identical_to_sparse_verification(self, native):
         code = surface_code(3)
         rng = np.random.default_rng(17)
         check = code.hz
         priors = np.full(check.shape[1], 0.04)
         errors = (rng.random((64, check.shape[1])) < 0.08).astype(np.uint8)
         syndromes = (errors @ check.T) % 2
-        results = {}
-        for packed in (False, True):
-            decoder = BeliefPropagationDecoder(
-                check, priors, max_iterations=25, active_set=active_set,
-                packed_verification=packed,
-            )
-            results[packed] = decoder.decode_batch(syndromes)
-        assert np.array_equal(results[True].converged,
-                              results[False].converged)
-        assert np.array_equal(results[True].errors, results[False].errors)
-        assert np.array_equal(results[True].posterior_llrs,
-                              results[False].posterior_llrs)
-        assert results[True].iterations == results[False].iterations
-
-    def test_default_follows_active_set(self):
-        priors = np.full(5, 0.05)
-        assert BeliefPropagationDecoder(
-            REPETITION_H, priors, active_set=True).packed_verification
-        assert not BeliefPropagationDecoder(
-            REPETITION_H, priors, active_set=False).packed_verification
+        decoder = BeliefPropagationDecoder(check, priors, max_iterations=25,
+                                           native=native)
+        _assert_same_bp(decoder.decode_batch(syndromes),
+                        decoder.decode_reference(syndromes))
 
     def test_non_multiple_of_64_checks_and_mechanisms(self):
         # 4 checks / 5 mechanisms: everything lives in padding-heavy
@@ -272,14 +280,9 @@ class TestPackedSyndromeVerification:
         priors = np.full(5, 0.05)
         errors = np.array([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]], dtype=np.uint8)
         syndromes = (errors @ REPETITION_H.T) % 2
-        packed = BeliefPropagationDecoder(REPETITION_H, priors,
-                                          packed_verification=True)
-        reference = BeliefPropagationDecoder(REPETITION_H, priors,
-                                             packed_verification=False)
-        a = packed.decode_batch(syndromes)
-        b = reference.decode_batch(syndromes)
-        assert np.array_equal(a.converged, b.converged)
-        assert np.array_equal(a.errors, b.errors)
+        decoder = BeliefPropagationDecoder(REPETITION_H, priors)
+        _assert_same_bp(decoder.decode_batch(syndromes),
+                        decoder.decode_reference(syndromes))
 
 
 class TestBPOSD:
