@@ -283,13 +283,14 @@ def time_memory_experiment(shots: int, backend: str = "packed",
     committed trajectory.
     """
     code = code_by_name(BB_CODE)
-    with MemoryExperiment(code=code, seed=0, backend=backend) as experiment:
+    with MemoryExperiment(code=code, seed=0, backend=backend,
+                          workers=workers) as experiment:
         if warmup_shots > 0:
             experiment.run(PHYSICAL_ERROR_RATE, ROUND_LATENCY_US,
-                           shots=warmup_shots, workers=workers)
+                           shots=warmup_shots)
         return _timed(
             lambda: experiment.run(PHYSICAL_ERROR_RATE, ROUND_LATENCY_US,
-                                   shots=shots, workers=workers)
+                                   shots=shots)
         )
 
 

@@ -49,6 +49,7 @@ from repro.campaign.store import (
     Lease,
     ResultStore,
     _epoch_of,
+    _parse_lease,
 )
 from repro.parallel.faults import InjectedFault, active_plan
 
@@ -467,18 +468,14 @@ def verify_store(path: "str | Path") -> dict:
             n_results += 1
             continue
         n_leases += 1
-        try:
-            key = record["key"]
-            worker = str(record["worker"])
-            epoch = int(record["epoch"])
-            ts = float(record["ts"])
-        except (KeyError, TypeError, ValueError):
+        fields = _parse_lease(record)
+        if fields is None:
             problems.append(f"line {index}: malformed lease record "
                             f"({rtype})")
             continue
+        key, worker, epoch, ts, ttl = fields
         current = leases.get(key)
         if rtype == "claim":
-            ttl = float(record.get("ttl", 0.0))
             if current is None or epoch > current.epoch:
                 if (current is not None and not current.released
                         and ts < current.renewed_at + current.ttl):
@@ -527,10 +524,13 @@ def verify_store(path: "str | Path") -> dict:
 def repair_store(path: "str | Path") -> dict:
     """Rewrite the store keeping only healthy lines.
 
-    Keeps every line that parses to a keyed dict (results *and* lease
-    events — epoch folding needs the full lease history); drops torn
-    fragments and corrupt lines.  Atomic: written to a sibling temp
-    file and ``os.replace``d in.  Returns ``{"kept", "dropped"}``."""
+    Drops exactly the lines :func:`verify_store` calls corrupt — torn
+    or unparseable lines, records without a ``key`` and malformed lease
+    events — all of which :class:`ResultStore` already skips, so the
+    folded state is unchanged.  Every other line is kept: results *and*
+    lease events (epoch folding needs the full lease history), foreign
+    versions too.  Atomic: written to a sibling temp file and
+    ``os.replace``d in.  Returns ``{"kept", "dropped"}``."""
     path = Path(path)
     raw = path.read_bytes() if path.exists() else b""
     lines = raw.split(b"\n")
@@ -547,7 +547,10 @@ def repair_store(path: "str | Path") -> dict:
         except (json.JSONDecodeError, UnicodeDecodeError):
             dropped += 1
             continue
-        if not isinstance(record, dict) or "key" not in record:
+        if (not isinstance(record, dict) or "key" not in record
+                or (record.get("version") == STORE_VERSION
+                    and record.get("type") in LEASE_TYPES
+                    and _parse_lease(record) is None)):
             dropped += 1
             continue
         kept.append(stripped)

@@ -493,8 +493,12 @@ class _PointRunner:
         self._experiments: dict = {}
         if pool is None and resolve_workers(workers) > 1:
             # Worker processes spawn on the first multi-shard run only.
+            # A run-level max_shard_retries also sizes the pool's
+            # lifetime rebuild budget (SharedPool's default otherwise).
+            budget = ({} if max_shard_retries is None
+                      else {"max_rebuilds": max_shard_retries})
             pool = self._stack.enter_context(
-                SharedPool(resolve_workers(workers)))
+                SharedPool(resolve_workers(workers), **budget))
         self.pool = pool
 
     def __enter__(self) -> "_PointRunner":
@@ -980,10 +984,12 @@ def run_campaign(spec: CampaignSpec,
     ``shard_timeout`` / ``max_shard_retries`` override every sweep's
     fault-tolerance knobs for this run (see
     :class:`~repro.campaign.spec.SweepSpec`; excluded from the store
-    key).  ``stop`` is an optional zero-argument callable polled
-    between units of work; once it returns true the campaign flushes
-    everything finalised, releases the pool and raises
-    :class:`CampaignInterrupted` — the CLI wires SIGINT/SIGTERM to it.
+    key); ``max_shard_retries`` also sets the lifetime rebuild budget
+    of the pool the run builds (default 2).  ``stop`` is an optional
+    zero-argument callable polled between units of work; once it
+    returns true the campaign flushes everything finalised, releases
+    the pool and raises :class:`CampaignInterrupted` — the CLI wires
+    SIGINT/SIGTERM to it.
 
     ``join=True`` switches to multi-host mode (see
     :class:`JoinedCampaign`): this process becomes one worker among

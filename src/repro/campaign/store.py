@@ -105,6 +105,30 @@ class Lease:
         return not self.released and now < self.renewed_at + self.ttl
 
 
+def _parse_lease(record: dict
+                 ) -> "tuple[str, str, int, float, float] | None":
+    """A lease event's ``(key, worker, epoch, ts, ttl)``, or ``None``.
+
+    ``None`` means the event is malformed — a field is missing or does
+    not parse, or the key is not a string — and every reader treats it
+    alike: :class:`ResultStore` skips the line, ``repro store verify``
+    reports it and ``repro store repair`` drops it.  ``ttl`` is a
+    claim's (default 0); other events report 0.
+    """
+    try:
+        key = record["key"]
+        worker = str(record["worker"])
+        epoch = int(record["epoch"])
+        ts = float(record["ts"])
+        ttl = (float(record.get("ttl", 0.0))
+               if record.get("type") == "claim" else 0.0)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if not isinstance(key, str):
+        return None
+    return key, worker, epoch, ts, ttl
+
+
 def _epoch_of(record: dict) -> int:
     try:
         return int(record.get("epoch", 0))
@@ -236,22 +260,14 @@ class ResultStore:
                 self._finals[record["key"]] = record
 
     def _apply_lease(self, record: dict) -> bool:
-        try:
-            key = record["key"]
-            rtype = record["type"]
-            worker = str(record["worker"])
-            epoch = int(record["epoch"])
-            ts = float(record["ts"])
-        except (KeyError, TypeError, ValueError):
+        fields = _parse_lease(record)
+        if fields is None:
             self.skipped_lines += 1
             return False
+        key, worker, epoch, ts, ttl = fields
+        rtype = record["type"]
         current = self._leases.get(key)
         if rtype == "claim":
-            try:
-                ttl = float(record.get("ttl", 0.0))
-            except (TypeError, ValueError):
-                self.skipped_lines += 1
-                return False
             # First claim in file order wins at a given epoch; a
             # higher epoch (reclaim after expiry) always supersedes.
             if (current is None or epoch > current.epoch

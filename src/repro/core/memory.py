@@ -21,10 +21,12 @@ Both methods run on the fused sample→decode pipeline
 (:class:`~repro.parallel.pipeline.ShardedExperiment`): the shot budget
 splits into shards, each shard samples its own noise from a
 shard-indexed ``SeedSequence.spawn`` tree and decodes it locally —
-in-process for ``workers=1``, across a worker pool otherwise — so the
-results are bit-identical for every worker count at a fixed
-``shard_shots``, and at >100k-shot budgets neither the sampling nor
-the syndrome transfer serialises on the parent.
+in-process for ``workers=1``, across a worker pool otherwise — and the
+pipeline folds them in shard-index order, so the results are
+bit-identical for every worker count at a fixed ``shard_shots``.  An
+experiment's worker count is fixed when it is built; its sweep caches
+(the space-time structure or DEM skeleton, and the pipeline with its
+pool) then serve every operating point it runs.
 """
 
 from __future__ import annotations
@@ -171,11 +173,11 @@ class MemoryExperiment:
         the packed kernels either way); ``"bool"`` selects the boolean
         reference implementations.
     workers:
-        Default worker-process count for the fused sample→decode
-        pipeline (``1``: in-process; ``0``: one worker per core;
-        overridable per :meth:`run` call).  With ``workers > 1`` each
-        worker samples *and* decodes its own shards; results are
-        bit-identical for every value at a fixed ``shard_shots``.
+        Worker-process count for the fused sample→decode pipeline
+        (``1``: in-process; ``0``: one worker per core), fixed for the
+        experiment's life.  With ``workers > 1`` each worker samples
+        *and* decodes its own shards; results are bit-identical for
+        every value at a fixed ``shard_shots``.
     shard_shots:
         Shots per pipeline shard (default: the decoder's
         ``block_shots``).  Part of the determinism key: each shard
@@ -259,19 +261,13 @@ class MemoryExperiment:
 
     # ------------------------------------------------------------------
     def run(self, physical_error_rate: float, round_latency_us: float,
-            shots: int = 200, workers: int | None = None,
+            shots: int = 200,
             target_precision: "float | PrecisionTarget | None" = None,
             max_shots: int | None = None,
             prior_tally: tuple[int, int] = (0, 0),
             seed: "int | np.random.SeedSequence | None" = None
             ) -> MemoryResult:
         """Estimate the logical error rate at one operating point.
-
-        ``workers`` overrides the experiment-level default for this call
-        (``1``: in-process; ``N``: run the fused sample→decode pipeline
-        across ``N`` worker processes; ``0``: one per core).  The result
-        is bit-identical for every value at a fixed ``shard_shots`` —
-        only the wall-clock changes.
 
         ``target_precision`` streams the run through a Wilson interval
         and stops — deterministically, on the shard-prefix tally — once
@@ -288,23 +284,7 @@ class MemoryExperiment:
         many runs preceded it (the campaign's resumable store) use
         this; when omitted the experiment spawns the next child of its
         own root seed exactly as before.
-
-        On an experiment bound to a :class:`SharedPool` the worker
-        count is the pool's — a conflicting per-call ``workers=`` is
-        rejected rather than silently ignored.
         """
-        if self.pool is not None:
-            if (workers is not None
-                    and resolve_workers(workers) != self.pool.workers):
-                raise ValueError(
-                    "this experiment streams through a SharedPool of "
-                    f"{self.pool.workers} workers; the per-call workers= "
-                    "override cannot change that — build a pool-free "
-                    "MemoryExperiment for a different worker count")
-            workers = self.pool.workers
-        else:
-            workers = (self.workers if workers is None
-                       else resolve_workers(workers))
         budget = int(max_shots) if max_shots is not None else int(shots)
         target = as_precision_target(target_precision)
         if seed is None:
@@ -318,10 +298,10 @@ class MemoryExperiment:
         )
         if self.method == "phenomenological":
             outcome, extra = self._run_phenomenological(
-                noise, budget, workers, target, prior_tally, run_seed)
+                noise, budget, target, prior_tally, run_seed)
         else:
             outcome, extra = self._run_circuit(
-                noise, budget, workers, target, prior_tally, run_seed)
+                noise, budget, target, prior_tally, run_seed)
         if target is not None:
             extra["target_met"] = outcome.target_met
         return MemoryResult(
@@ -345,20 +325,18 @@ class MemoryExperiment:
 
     # ------------------------------------------------------------------
     def _pipeline_for(self, check_matrix: np.ndarray,
-                      observable_matrix: np.ndarray, priors: np.ndarray,
-                      workers: int) -> ShardedExperiment:
+                      observable_matrix: np.ndarray,
+                      priors: np.ndarray) -> ShardedExperiment:
         """The cached fused sample→decode pipeline for this experiment.
 
         Pipeline structure is cached by check-matrix *identity*: both
         sweep caches hand back the same matrix object across operating
         points, so points only refresh the priors (shipped per shard)
-        and the worker pool persists across the sweep.  A change of
-        worker count rebuilds the pipeline (and its pool).
+        and the worker pool persists across the sweep.
         """
         if (self._pipeline is None
                 or self._pipeline.handle.decoder.check_matrix
-                is not check_matrix
-                or self._pipeline.workers != workers):
+                is not check_matrix):
             self.close()
             handle = ExperimentHandle(
                 decoder=DecoderHandle(
@@ -370,7 +348,7 @@ class MemoryExperiment:
                 method=self.method,
             )
             self._pipeline = ShardedExperiment(
-                handle, workers=workers, shard_shots=self.shard_shots,
+                handle, workers=self.workers, shard_shots=self.shard_shots,
                 pool=self.pool,
                 shard_timeout=self.shard_timeout,
                 max_shard_retries=self.max_shard_retries,
@@ -378,7 +356,6 @@ class MemoryExperiment:
         return self._pipeline
 
     def _run_phenomenological(self, noise: HardwareNoiseModel, shots: int,
-                              workers: int,
                               target: PrecisionTarget | None,
                               prior_tally: tuple[int, int],
                               run_seed: np.random.SeedSequence) -> tuple:
@@ -392,7 +369,6 @@ class MemoryExperiment:
         )
         pipeline = self._pipeline_for(
             model.check_matrix, model.observable_matrix, model.priors,
-            workers,
         )
         outcome = pipeline.run(shots, run_seed,
                                priors=model.priors,
@@ -407,7 +383,7 @@ class MemoryExperiment:
         }
 
     def _run_circuit(self, noise: HardwareNoiseModel, shots: int,
-                     workers: int, target: PrecisionTarget | None,
+                     target: PrecisionTarget | None,
                      prior_tally: tuple[int, int],
                      run_seed: np.random.SeedSequence) -> tuple:
         circuit = memory_experiment_circuit(
@@ -424,7 +400,7 @@ class MemoryExperiment:
                 backend=simulation_backend(self.backend))
         dem = self._dem_cache.model_for(circuit)
         pipeline = self._pipeline_for(
-            dem.check_matrix, dem.observable_matrix, dem.priors, workers
+            dem.check_matrix, dem.observable_matrix, dem.priors
         )
         outcome = pipeline.run(shots, run_seed, priors=dem.priors,
                                circuit=circuit, target_precision=target,

@@ -1,22 +1,14 @@
 """Fused sample→decode pipeline, sharded and *streamed* across workers.
 
-PR 2 sharded the *decode* stage: the parent sampled every shot, then
-pickled syndrome slices out to a process pool.  At 100k–1M shot budgets
-that leaves the Pauli-frame sampler and the syndrome transfer as the
-serial wall-clock floor.  This module moves the whole per-shard pipeline
-into the worker: each shard **samples its own shots and decodes them
-locally**, so syndromes never cross a process boundary and the sampling
-of one shard overlaps the decoding of another.
-
-PR 4 turns the executor from submit-all/gather-all into a **streaming
-engine**: shard results are consumed as they complete, folded into a
-running ``(failures, shots)`` tally, and fed through a Wilson
-confidence interval (:mod:`repro.core.stats`); once the interval's
-half-width reaches a caller-supplied ``target_precision`` the run stops
-— outstanding shards are cancelled and unsubmitted work is never
-materialized.  Low-noise operating points that would have burned their
-whole fixed budget now spend only the shots their confidence width
-actually needs.
+Each shard of a run **samples its own shots and decodes them** in the
+process that runs it, so syndromes never cross a process boundary and
+the sampling of one shard overlaps the decoding of another.  Shard
+results fold into a running ``(failures, shots)`` tally; given a
+``target_precision`` the tally feeds a Wilson confidence interval
+(:mod:`repro.core.stats`) and the run stops once the interval's
+half-width is reached — outstanding shards are cancelled and
+unsubmitted work is never materialized, so low-noise operating points
+spend only the shots their confidence width needs.
 
 Determinism contract
 --------------------
@@ -34,18 +26,34 @@ process runs a shard:
   the shared decoder recipe; results are merged by shard index, never
   by completion order.
 
-Early stopping preserves the contract because the stop decision is
-evaluated on the shard-**index prefix order** only: the tally grows by
-folding shard 0, then shard 1, … in submission order — a shard that
-completes out of order waits in a buffer until every lower-indexed
-shard has been folded — and the rule (:class:`~repro.core.stats.PrecisionTarget`,
-a pure function of the folded tally) is checked after each fold.  The
+Early stopping preserves the contract because the stop rule
+(:class:`~repro.core.stats.PrecisionTarget`, a pure function of the
+folded tally) only ever sees shard-**index prefix** tallies.  The
 stopping prefix, and therefore the contributing shard set, the LER,
 the corrections and the convergence flags, is identical for every
 worker count; workers only change how much already-submitted work
-beyond the prefix gets thrown away.  ``workers=1`` runs the identical
-per-shard code path in the parent and is the cross-checked reference
-(`tests/test_fused_pipeline.py`, `tests/test_streaming.py`).
+beyond the prefix gets thrown away.
+
+One fold loop
+-------------
+:meth:`ShardedExperiment.run` is one loop over shard indices: fold
+shard 0, then shard 1, …, evaluating the stop rule after each fold.
+Shard ``i``'s outcome comes from the buffer the pool fills, or is
+computed in-process by the identical per-shard code
+(:meth:`_PipelineState.run_shard`) when the run has one worker or one
+shard, when its pool was already marked failed, or once the pool gives
+up mid-run.  A shard that completes out of order waits in the buffer
+until every lower-indexed shard has been folded.  ``workers=1`` is the
+cross-checked reference (`tests/test_fused_pipeline.py`,
+`tests/test_streaming.py`).
+
+The pool side (:class:`_PoolWindow`) only fills that buffer: a bounded
+window of in-flight tasks.  Every submission — first tasks, top-up,
+cache-miss re-ship, resubmission after a rebuild — goes through one
+call, and every pool failure (a ``BrokenExecutor`` from a submission
+or a result, an expired ``shard_timeout``) lands in one recovery path:
+respawn the executor and requeue every lost shard with its original
+seed-tree child.
 
 Design
 ------
@@ -79,13 +87,12 @@ Design
   ``DemStructureCache`` / space-time structure across points and hands
   the pipeline the *same* check-matrix object each time, so the handle
   (and the workers' decoder structure) is built exactly once per sweep.
-  Shard seeds, sizes and fold order never depend on the pool, so
-  pooled runs stay bit-identical to in-process runs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
@@ -117,7 +124,7 @@ __all__ = [
 
 class PoolUnavailable(RuntimeError):
     """The worker pool died and could not be rebuilt within its retry
-    budget.  The pipeline recovers by draining the remaining shards
+    budget.  The pipeline recovers by running the remaining shards
     in-process (bit-identically — each shard is a pure function of its
     seed), so callers only see this if they ask the pool directly."""
 
@@ -305,8 +312,7 @@ class _PipelineState:
     """Per-process state: the decoder plus packed projection matrices.
 
     Built once per process (lazily, on the first shard) and re-priored
-    — never rebuilt — on subsequent shards and sweep points, exactly
-    like PR 2's worker-side decoder cache.
+    — never rebuilt — on subsequent shards and sweep points.
     """
 
     def __init__(self, handle: ExperimentHandle) -> None:
@@ -583,7 +589,7 @@ class ShardedExperiment:
     retried shards run the identical ``(priors, seed, shots)``, and
     folds stay in shard-index order, so **results under any fault
     schedule are bit-identical to the fault-free run**.  When the pool
-    cannot be rebuilt the remaining shards drain in-process
+    cannot be rebuilt the remaining shards run in-process
     (``last_run_stats["local_fallback"]``).
 
     The pool spawns its workers on the first multi-shard run and is
@@ -605,8 +611,6 @@ class ShardedExperiment:
     _owns_pool: bool = field(default=False, init=False, repr=False)
     _local: _PipelineState | None = field(default=None, init=False,
                                           repr=False)
-    _circuit_key_memo: tuple | None = field(default=None, init=False,
-                                            repr=False)
     _handle_key: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -632,17 +636,6 @@ class ShardedExperiment:
         if self._local is None:
             self._local = self.handle.build_state()
         return self._local
-
-    # ------------------------------------------------------------------
-    def _circuit_key(self, circuit: Circuit) -> str:
-        """Fingerprint of ``circuit``, memoized by object identity (the
-        sweep hands the same circuit object to every shard of a point)."""
-        if (self._circuit_key_memo is not None
-                and self._circuit_key_memo[0] is circuit):
-            return self._circuit_key_memo[1]
-        key = circuit_fingerprint(circuit)
-        self._circuit_key_memo = (circuit, key)
-        return key
 
     # ------------------------------------------------------------------
     def run(self, shots: int, seed, priors: np.ndarray | None = None,
@@ -699,33 +692,40 @@ class ShardedExperiment:
             "shards_resubmitted": 0,
             "local_fallback": False,
         }
-        tally_failures = prior_failures
-        tally_shots = prior_shots
-        met = target.met(tally_failures, tally_shots) if target else False
-        outcomes: list[tuple] = []
-
-        # A pool that already exhausted its rebuild budget (this run's
-        # or a previous one's) is not worth submitting to: run the
-        # identical per-shard code in-process instead.
-        pool_dead = self.pool is not None and self.pool.failed
-        if pool_dead:
+        failures = 0
+        used_shots = 0
+        met = target is not None and target.met(prior_failures, prior_shots)
+        window = None
+        if self.pool is not None and self.pool.failed:
+            # A pool that already exhausted its rebuild budget (this
+            # run's or a previous one's) is not worth submitting to.
             stats["local_fallback"] = True
-        if not met:
-            if self.workers <= 1 or len(sizes) <= 1 or pool_dead:
-                outcomes, met = self._run_local(sizes, seeds, priors, circuit,
-                                                collect_errors, target,
-                                                tally_failures, tally_shots,
-                                                stats)
-            else:
-                outcomes, met = self._run_streamed(sizes, seeds, priors,
-                                                   circuit, collect_errors,
-                                                   target, tally_failures,
-                                                   tally_shots, stats)
+        elif not met and self.workers > 1 and len(sizes) > 1:
+            window = _PoolWindow(self, sizes, seeds, priors, circuit,
+                                 collect_errors, stats)
+        outcomes: list[tuple] = []
+        try:
+            while not met and len(outcomes) < len(sizes):
+                index = len(outcomes)
+                outcome = window.take(index) if window is not None else None
+                if outcome is None:
+                    outcome = self.local_state.run_shard(
+                        priors, circuit, seeds[index], sizes[index],
+                        collect_errors)
+                    stats["shards_run"] += 1
+                outcomes.append(outcome)
+                failures += outcome[0]
+                used_shots += sizes[index]
+                met = target is not None and target.met(
+                    prior_failures + failures, prior_shots + used_shots)
+        finally:
+            # Early stop or error: whatever is still queued is wasted
+            # work — cancel it (running shards finish and are ignored).
+            if window is not None:
+                window.cancel()
         stats["shards_folded"] = len(outcomes)
         self.last_run_stats = stats
 
-        failures = sum(outcome[0] for outcome in outcomes)
-        used_shots = sum(sizes[: len(outcomes)])
         if outcomes:
             bp_converged = np.concatenate([o[1] for o in outcomes])
         else:
@@ -751,220 +751,6 @@ class ShardedExperiment:
             ci_low=ci_low, ci_high=ci_high, confidence=report_confidence,
             prior_failures=prior_failures, prior_shots=prior_shots,
         )
-
-    # ------------------------------------------------------------------
-    def _run_local(self, sizes, seeds, priors, circuit, collect_errors,
-                   target, tally_failures, tally_shots, stats):
-        """In-process reference: fold shards in index order, stop at the
-        first prefix meeting the target.  The exact decision sequence
-        the streamed path reproduces."""
-        outcomes = []
-        met = False
-        for size, shard_seed in zip(sizes, seeds):
-            outcome = self.local_state.run_shard(priors, circuit, shard_seed,
-                                                 size, collect_errors)
-            stats["shards_run"] += 1
-            outcomes.append(outcome)
-            tally_failures += outcome[0]
-            tally_shots += size
-            if target is not None and target.met(tally_failures, tally_shots):
-                met = True
-                break
-        return outcomes, met
-
-    def _run_streamed(self, sizes, seeds, priors, circuit, collect_errors,
-                      target, tally_failures, tally_shots, stats):
-        """Streamed execution: bounded in-flight submission, completion
-        buffered out of order, folds strictly in shard-index order.
-
-        The stop rule only ever sees prefix tallies, so the stopping
-        shard — and everything derived from it — matches `_run_local`
-        bit for bit; completion order decides nothing but how much
-        beyond-prefix work gets discarded.
-
-        Fault tolerance: ``BrokenExecutor`` (a worker died) and shard
-        timeouts both funnel into :func:`recover` — drop every pending
-        future, respawn the pool's executor and re-submit the lost
-        shards with payloads re-attached.  The retried shards run the
-        identical ``(priors, seed, shots)``, so no fault schedule can
-        change the folded prefix.  When the retry budget is spent, the
-        remaining shards drain in-process (still in index order, still
-        bit-identical).
-        """
-        needs_circuit = self.handle.method == "circuit"
-        circuit_key = None
-        if needs_circuit:
-            if circuit is None:
-                raise ValueError("the circuit method needs a circuit per run")
-            circuit_key = self._circuit_key(circuit)
-        if self._handle_key is None:
-            self._handle_key = handle_fingerprint(self.handle)
-        pool = self._ensure_pool()
-        executor = pool.executor
-        plan = active_plan()
-        # Enough in-flight work to keep every worker busy while the
-        # prefix folds, small enough that an early stop wastes at most
-        # ~two shards per worker.
-        max_inflight = max(2 * self.workers, 2)
-        # The first `workers` tasks carry the heavyweight payloads (the
-        # handle, and the circuit for the circuit method); later tasks
-        # address the worker caches by key alone.
-        payload_quota = self.workers
-
-        pending: dict = {}
-        deadlines: dict = {}
-        ready: dict[int, tuple] = {}
-        retries: dict[int, int] = {}
-        outcomes: list[tuple] = []
-        next_submit = 0
-        met = False
-
-        def submit(index: int, with_payload: bool) -> None:
-            handle = self.handle if with_payload else None
-            if handle is not None:
-                stats["handle_payload_tasks"] += 1
-            payload = circuit if (needs_circuit and with_payload) else None
-            if payload is not None:
-                stats["circuit_payload_tasks"] += 1
-            stats["tasks_submitted"] += 1
-            fault = plan.next_task_fault() if plan is not None else None
-            future = executor.submit(
-                _run_shard, handle, self._handle_key, priors, payload,
-                circuit_key, seeds[index], sizes[index], collect_errors,
-                fault,
-            )
-            pending[future] = index
-            if self.shard_timeout is not None:
-                deadlines[future] = monotonic() + self.shard_timeout
-
-        def recover(extra_lost=()) -> None:
-            """Pool failure: respawn the executor, re-submit lost shards.
-
-            Every shard not yet in ``ready``/``outcomes`` — pending
-            futures plus any index the caller already popped — re-runs
-            with its original seed-tree child, and the fresh workers'
-            empty caches get the payloads re-shipped, so recovery is
-            invisible to the folded result.  A fresh pool that breaks
-            before every lost shard is back in flight counts as one
-            more failure.
-            """
-            nonlocal executor, payload_quota
-            lost = set(extra_lost)
-            while True:
-                stats["pool_failures"] += 1
-                # An owned pool's rebuild budget is max_shard_retries,
-                # so its rebuild() raises here instead — and marks the
-                # pool failed, which sends later runs straight
-                # in-process.
-                if (not self._owns_pool and stats["pool_failures"]
-                        > self.max_shard_retries):
-                    raise PoolUnavailable(
-                        f"worker pool failed {stats['pool_failures']} "
-                        f"times (max_shard_retries="
-                        f"{self.max_shard_retries})")
-                lost |= set(pending.values())
-                for future in pending:
-                    future.cancel()
-                pending.clear()
-                deadlines.clear()
-                executor = pool.rebuild()
-                payload_quota = self.workers
-                stats["shards_resubmitted"] += len(lost)
-                try:
-                    for index in sorted(lost):
-                        submit(index, with_payload=payload_quota > 0)
-                        payload_quota = max(0, payload_quota - 1)
-                    return
-                except BrokenExecutor:
-                    continue
-
-        try:
-            while True:
-                try:
-                    while (next_submit < len(sizes)
-                           and len(pending) < max_inflight):
-                        submit(next_submit, with_payload=payload_quota > 0)
-                        payload_quota = max(0, payload_quota - 1)
-                        next_submit += 1
-                except BrokenExecutor:
-                    recover()
-                while len(outcomes) in ready:
-                    outcome = ready.pop(len(outcomes))
-                    outcomes.append(outcome)
-                    tally_failures += outcome[0]
-                    tally_shots += sizes[len(outcomes) - 1]
-                    if target is not None and target.met(tally_failures,
-                                                         tally_shots):
-                        met = True
-                        break
-                if met or len(outcomes) == len(sizes):
-                    break
-                if not pending:
-                    # A recovery emptied the in-flight window; loop back
-                    # to the top-up before waiting on anything.
-                    continue
-                if self.shard_timeout is not None:
-                    wait_budget = min(deadlines.values()) - monotonic()
-                    if wait_budget <= 0:
-                        stats["shard_timeouts"] += 1
-                        recover()
-                        continue
-                    done, _ = wait(list(pending), timeout=wait_budget,
-                                   return_when=FIRST_COMPLETED)
-                    if not done:
-                        # Nothing completed within the tightest
-                        # deadline: the overdue shard is stuck.
-                        stats["shard_timeouts"] += 1
-                        recover()
-                        continue
-                else:
-                    done, _ = wait(list(pending),
-                                   return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        ready[index] = future.result()
-                        stats["shards_run"] += 1
-                    except _CacheMiss as miss:
-                        # A retry re-ships every payload, so one retry
-                        # always suffices for the worker that ran it.
-                        stats[f"{miss.args[0]}_cache_misses"] += 1
-                        if retries.get(index, 0) >= 2:
-                            raise
-                        retries[index] = retries.get(index, 0) + 1
-                        submit(index, with_payload=True)
-                    except BrokenExecutor:
-                        # A worker died; the popped shard is lost along
-                        # with everything still pending.
-                        recover(extra_lost=(index,))
-                        break
-        except PoolUnavailable:
-            # Retry budget spent: drain the remaining shards in-process,
-            # keeping everything already folded or buffered.  Each shard
-            # is a pure function of (priors, seed, shots), so the result
-            # is still bit-identical to a clean run.
-            stats["local_fallback"] = True
-            while not met and len(outcomes) < len(sizes):
-                index = len(outcomes)
-                outcome = ready.pop(index, None)
-                if outcome is None:
-                    outcome = self.local_state.run_shard(
-                        priors, circuit, seeds[index], sizes[index],
-                        collect_errors)
-                    stats["shards_run"] += 1
-                outcomes.append(outcome)
-                tally_failures += outcome[0]
-                tally_shots += sizes[index]
-                if target is not None and target.met(tally_failures,
-                                                     tally_shots):
-                    met = True
-        finally:
-            # Early stop or error: whatever is still queued is wasted
-            # work — cancel it (running shards finish and are ignored).
-            for future in pending:
-                future.cancel()
-        return outcomes, met
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> SharedPool:
@@ -1000,3 +786,188 @@ class ShardedExperiment:
             self.close()
         except Exception:
             pass
+
+
+class _PoolWindow:
+    """The pool side of one :meth:`ShardedExperiment.run`.
+
+    Keeps at most ``2 * workers`` shard tasks in flight — enough to
+    keep every worker busy while the prefix folds, few enough that an
+    early stop wastes at most about two shards per worker — and
+    buffers their outcomes by shard index for the run's fold to
+    :meth:`take`.  :meth:`_submit` is the only place a task reaches
+    the executor, and every pool failure, whether a submission or a
+    result raises ``BrokenExecutor`` or a shard outlives
+    ``shard_timeout``, lands in :meth:`_recover`.  Once the pool gives
+    up, :meth:`take` serves only what is already buffered and the fold
+    runs the rest in-process.
+    """
+
+    def __init__(self, experiment: ShardedExperiment, sizes: list[int],
+                 seeds: list, priors: np.ndarray, circuit: Circuit | None,
+                 collect_errors: bool, stats: dict) -> None:
+        self.experiment = experiment
+        self.sizes = sizes
+        self.seeds = seeds
+        self.priors = priors
+        self.collect_errors = collect_errors
+        self.stats = stats
+        self.circuit = circuit
+        self.circuit_key = None
+        if experiment.handle.method == "circuit" and circuit is not None:
+            self.circuit_key = circuit_fingerprint(circuit)
+        if experiment._handle_key is None:
+            experiment._handle_key = handle_fingerprint(experiment.handle)
+        self.pool = experiment._ensure_pool()
+        self.executor = self.pool.executor
+        self.plan = active_plan()
+        self.max_inflight = max(2 * experiment.workers, 2)
+        # The first `workers` tasks carry the heavyweight payloads (the
+        # handle, and the circuit for the circuit method); later tasks
+        # address the worker caches by key alone.
+        self.payload_quota = experiment.workers
+        self.pending: dict = {}       # future -> shard index
+        self.deadlines: dict = {}     # future -> monotonic deadline
+        self.ready: dict[int, tuple] = {}
+        self.lost: list[int] = []     # heap of shards to resubmit
+        self.reship: set[int] = set()  # cache-missed: resubmit with payloads
+        self.retries: dict[int, int] = {}
+        self.next_fresh = 0
+        self.gave_up = False
+
+    def take(self, index: int) -> tuple | None:
+        """Shard ``index``'s outcome, waiting on the pool as needed;
+        ``None`` once the pool has given up on this run and the shard
+        was never buffered."""
+        while index not in self.ready and not self.gave_up:
+            try:
+                self._fill()
+                self._collect()
+            except PoolUnavailable:
+                # Retry budget spent: keep what is buffered, let the
+                # fold compute the rest in-process.
+                self.gave_up = True
+                self.stats["local_fallback"] = True
+                self.cancel()
+        return self.ready.pop(index, None)
+
+    def cancel(self) -> None:
+        """Drop every in-flight task (running shards finish, ignored)."""
+        for future in self.pending:
+            future.cancel()
+        self.pending.clear()
+        self.deadlines.clear()
+
+    def _fill(self) -> None:
+        """Top the window up: lost shards first, then fresh ones."""
+        while len(self.pending) < self.max_inflight:
+            if self.lost:
+                index = heapq.heappop(self.lost)
+            elif self.next_fresh < len(self.sizes):
+                index = self.next_fresh
+                self.next_fresh += 1
+            else:
+                return
+            self._submit(index)
+
+    def _submit(self, index: int) -> None:
+        """Submit shard ``index`` — the one path to the executor."""
+        stats = self.stats
+        if index in self.reship:
+            # A re-ship carries every payload, so one retry always
+            # suffices for the worker that runs it.
+            self.reship.discard(index)
+            with_payload = True
+        else:
+            with_payload = self.payload_quota > 0
+            self.payload_quota = max(0, self.payload_quota - 1)
+        handle = self.experiment.handle if with_payload else None
+        if handle is not None:
+            stats["handle_payload_tasks"] += 1
+        circuit = (self.circuit if with_payload
+                   and self.circuit_key is not None else None)
+        if circuit is not None:
+            stats["circuit_payload_tasks"] += 1
+        stats["tasks_submitted"] += 1
+        fault = self.plan.next_task_fault() if self.plan is not None else None
+        try:
+            future = self.executor.submit(
+                _run_shard, handle, self.experiment._handle_key,
+                self.priors, circuit, self.circuit_key, self.seeds[index],
+                self.sizes[index], self.collect_errors, fault,
+            )
+        except BrokenExecutor:
+            self._recover(index)
+            return
+        self.pending[future] = index
+        if self.experiment.shard_timeout is not None:
+            self.deadlines[future] = (monotonic()
+                                      + self.experiment.shard_timeout)
+
+    def _collect(self) -> None:
+        """Wait for the first completion, or for the tightest shard
+        deadline, and buffer what finished."""
+        stats = self.stats
+        timeout = None
+        if self.deadlines:
+            timeout = min(self.deadlines.values()) - monotonic()
+        done = ()
+        if timeout is None or timeout > 0:
+            done, _ = wait(list(self.pending), timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+        if not done:
+            # Nothing completed within the tightest deadline: the
+            # overdue shard is stuck.
+            stats["shard_timeouts"] += 1
+            self._recover()
+            return
+        for future in done:
+            index = self.pending.pop(future)
+            self.deadlines.pop(future, None)
+            try:
+                self.ready[index] = future.result()
+                stats["shards_run"] += 1
+            except _CacheMiss as miss:
+                stats[f"{miss.args[0]}_cache_misses"] += 1
+                if self.retries.get(index, 0) >= 2:
+                    raise
+                self.retries[index] = self.retries.get(index, 0) + 1
+                self.reship.add(index)
+                heapq.heappush(self.lost, index)
+            except BrokenExecutor:
+                # A worker died; this shard is lost along with
+                # everything still pending.
+                self._recover(index)
+                return
+
+    def _recover(self, *also_lost: int) -> None:
+        """Pool failure: respawn the executor, requeue every lost shard.
+
+        Every shard neither buffered nor folded — queued for
+        resubmission, in flight, or the one the caller just lost —
+        re-runs with its original seed-tree child, and the fresh
+        workers' empty caches get the payloads re-shipped, so recovery
+        is invisible to the folded result.  A fresh pool that breaks
+        before every lost shard is back in flight costs one more
+        failure.  Raises :class:`PoolUnavailable` once the run's (or an
+        owned pool's lifetime) retry budget is spent.
+        """
+        stats = self.stats
+        experiment = self.experiment
+        stats["pool_failures"] += 1
+        # An owned pool's rebuild budget is max_shard_retries, so its
+        # rebuild() raises below instead — and marks the pool failed,
+        # which sends later runs straight in-process.
+        if (not experiment._owns_pool
+                and stats["pool_failures"] > experiment.max_shard_retries):
+            raise PoolUnavailable(
+                f"worker pool failed {stats['pool_failures']} times "
+                f"(max_shard_retries={experiment.max_shard_retries})")
+        requeue = (set(also_lost) | set(self.lost)
+                   | set(self.pending.values()))
+        self.cancel()
+        self.executor = self.pool.rebuild()
+        self.payload_quota = experiment.workers
+        self.reship.clear()
+        self.lost = sorted(requeue)
+        stats["shards_resubmitted"] += len(requeue)

@@ -420,11 +420,6 @@ class TestCampaignRun:
             with MemoryExperiment(code=code_by_name("repetition-d3"),
                                   rounds=2, pool=pool) as experiment:
                 assert experiment.workers == 2
-                with pytest.raises(ValueError, match="SharedPool"):
-                    experiment.run(5e-3, 100.0, shots=32, workers=1)
-                # Matching and default overrides are fine.
-                result = experiment.run(5e-3, 100.0, shots=32, workers=2)
-                assert result.shots == 32
 
     def test_spent_never_exceeds_budget_even_when_tiny(self):
         result = run_campaign(tiny_spec(budget=40, sweeps=2))

@@ -398,6 +398,51 @@ class TestStoreCommand:
         assert main(["store", "repair",
                      str(tmp_path / "nope.jsonl")]) == 2
 
+    @staticmethod
+    def _claim(**fields):
+        return {"type": "claim", "key": "k", "worker": "w", "epoch": 0,
+                "ts": 0.0, "ttl": 5.0, "version": 1, **fields}
+
+    @pytest.mark.parametrize("ttl", ["soon", None])
+    def test_verify_reports_unparseable_claim_ttl(self, capsys, tmp_path,
+                                                  ttl):
+        """A claim whose ``ttl`` does not parse is a malformed lease
+        record (the store skips it), not a traceback."""
+        from repro.campaign import ResultStore
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps(self._claim(ttl=ttl)) + "\n")
+        assert main(["store", "verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "malformed lease record (claim)" in err
+        assert "repro store repair" in err
+        assert ResultStore(path).skipped_lines == 1
+
+    def test_repair_drops_what_verify_calls_malformed(self, capsys,
+                                                      tmp_path):
+        """A claim without ``ts`` fails verify; repair drops exactly
+        that line, verify then passes and the folded state is
+        unchanged."""
+        from repro.campaign import ResultStore
+        path = tmp_path / "s.jsonl"
+        no_ts = self._claim(key="a")
+        del no_ts["ts"]
+        lines = [{"key": "a", "failures": 1, "shots": 10, "version": 1},
+                 no_ts, self._claim(key="b", worker="v")]
+        path.write_text("".join(json.dumps(line) + "\n"
+                                for line in lines))
+        before = ResultStore(path)
+        assert main(["store", "verify", str(path)]) == 1
+        assert ("line 2: malformed lease record (claim)"
+                in capsys.readouterr().err)
+        assert main(["store", "repair", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "kept 2" in out and "dropped 1" in out
+        assert main(["store", "verify", str(path)]) == 0
+        after = ResultStore(path)
+        assert after.skipped_lines == 0
+        assert after.records() == before.records()
+        assert after.leases() == before.leases()
+
 
 class TestServeCommand:
     """`repro serve` argument handling and exit codes (0 = graceful

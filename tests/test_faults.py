@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.campaign import (
     CampaignInterrupted,
     CampaignSpec,
+    builtin_spec,
     run_campaign,
 )
 from repro.codes import code_by_name
@@ -345,6 +346,28 @@ class TestCampaignFaultInvariance:
                          stop=stop_after_a_few)
         resumed = run_campaign(tiny_spec(seed=1), store=store)
         assert render(resumed) == render(reference)
+
+    def test_run_level_retries_size_the_campaign_pool(self, monkeypatch):
+        """A run-level ``max_shard_retries`` is also the lifetime budget
+        of the pool the campaign builds: with every task killed, the
+        pool respawns that many times before the campaign finishes
+        in-process, and the tables equal the fault-free run's."""
+        spec = builtin_spec("ci_smoke")
+        with activate(None):
+            reference = run_campaign(spec, workers=2)
+        respawns = []
+        real_rebuild = SharedPool.rebuild
+
+        def counting_rebuild(pool):
+            executor = real_rebuild(pool)
+            respawns.append(pool.rebuilds)
+            return executor
+
+        monkeypatch.setattr(SharedPool, "rebuild", counting_rebuild)
+        with activate(FaultPlan(kills=tuple(range(4096)))):
+            result = run_campaign(spec, workers=2, max_shard_retries=5)
+        assert respawns == [1, 2, 3, 4, 5]
+        assert render(result) == render(reference)
 
     def test_shard_timeout_knob_threads_through(self):
         """A generous campaign-level shard_timeout must not perturb

@@ -288,13 +288,15 @@ class TestParentDoesNotSample:
                                "sample")
         code = surface_code(3)
         with MemoryExperiment(code=code, rounds=2, method="circuit",
-                              seed=3, shard_shots=32) as experiment:
-            result = experiment.run(2e-3, 0.0, shots=130, workers=2)
+                              seed=3, shard_shots=32,
+                              workers=2) as experiment:
+            result = experiment.run(2e-3, 0.0, shots=130)
         assert result.shots == 130
         assert calls == []
         with MemoryExperiment(code=code, rounds=2, method="circuit",
-                              seed=3, shard_shots=32) as experiment:
-            experiment.run(2e-3, 0.0, shots=130, workers=1)
+                              seed=3, shard_shots=32,
+                              workers=1) as experiment:
+            experiment.run(2e-3, 0.0, shots=130)
         assert len(calls) > 0
 
 
@@ -303,10 +305,10 @@ class TestMemoryExperimentFusedPipeline:
         results = {}
         for workers in (1, 2, 4):
             with MemoryExperiment(code=bb72, rounds=2, seed=11,
-                                  shard_shots=64) as experiment:
+                                  shard_shots=64,
+                                  workers=workers) as experiment:
                 results[workers] = experiment.run(3e-3, 100_000.0,
-                                                  shots=240,
-                                                  workers=workers)
+                                                  shots=240)
         baseline = results[1]
         assert baseline.failures > 0
         for workers, result in results.items():
@@ -315,8 +317,8 @@ class TestMemoryExperimentFusedPipeline:
 
     def test_num_shards_reported_and_worker_independent(self, bb72):
         with MemoryExperiment(code=bb72, rounds=2, seed=11,
-                              shard_shots=64) as experiment:
-            result = experiment.run(3e-3, 100_000.0, shots=240, workers=2)
+                              shard_shots=64, workers=2) as experiment:
+            result = experiment.run(3e-3, 100_000.0, shots=240)
         assert result.metadata["num_shards"] == 4
 
     def test_shard_shots_is_part_of_the_determinism_key(self, bb72):

@@ -25,6 +25,7 @@ from repro.parallel import (
     DecoderHandle,
     ExperimentHandle,
     FaultPlan,
+    PoolUnavailable,
     SharedPool,
     ShardedExperiment,
     activate,
@@ -75,9 +76,9 @@ class TestMemoryExperimentWorkers:
 
     def _run(self, bb72, workers):
         with MemoryExperiment(code=bb72, rounds=2, seed=11,
-                              shard_shots=64) as experiment:
-            return experiment.run(self.P, self.LATENCY, shots=self.SHOTS,
-                                  workers=workers)
+                              shard_shots=64,
+                              workers=workers) as experiment:
+            return experiment.run(self.P, self.LATENCY, shots=self.SHOTS)
 
     def test_identical_memory_result_for_any_worker_count(self, bb72):
         results = {w: self._run(bb72, w) for w in (1, 2, 4)}
@@ -109,10 +110,9 @@ class TestMemoryExperimentWorkers:
         results = []
         for workers in (1, 2):
             with MemoryExperiment(code=code, rounds=2, method="circuit",
-                                  seed=3, shard_shots=32) as experiment:
-                results.append(
-                    experiment.run(2e-3, 0.0, shots=100, workers=workers)
-                )
+                                  seed=3, shard_shots=32,
+                                  workers=workers) as experiment:
+                results.append(experiment.run(2e-3, 0.0, shots=100))
         assert results[0].failures == results[1].failures
         assert results[0].metadata == results[1].metadata
 
@@ -222,3 +222,104 @@ class TestRecovery:
         assert result.failures == expected.failures
         assert stats["pool_failures"] == 2
         assert not stats["local_fallback"]
+
+    def test_pool_broken_while_reshipping_a_cache_miss_recovers(
+            self, small_handle, monkeypatch):
+        """Workers miss their handle cache and the executor breaks on
+        the first re-ship: one more pool failure, not an exception out
+        of run()."""
+        with ShardedExperiment(small_handle, workers=1,
+                               shard_shots=16) as local:
+            expected = local.run(96, 5, collect_errors=True)
+
+        real_executor = SharedPool.executor
+        seen = {"stripped": 0, "broke": False}
+
+        class MissThenBreak:
+            """Strips the handle from the first two payload tasks, so
+            every worker misses its cache; the next payload task (a
+            re-ship) raises as a broken executor would."""
+
+            def __init__(self, executor):
+                self.executor = executor
+
+            def submit(self, fn, handle, *args):
+                if handle is not None and not seen["broke"]:
+                    if seen["stripped"] < 2:
+                        seen["stripped"] += 1
+                        handle = None
+                    else:
+                        seen["broke"] = True
+                        raise BrokenProcessPool("broke while re-shipping")
+                return self.executor.submit(fn, handle, *args)
+
+        monkeypatch.setattr(SharedPool, "executor", property(
+            lambda pool: MissThenBreak(real_executor.fget(pool))))
+        with ShardedExperiment(small_handle, workers=2,
+                               shard_shots=16) as sharded:
+            result = sharded.run(96, 5, collect_errors=True)
+            stats = dict(sharded.last_run_stats)
+        assert seen["broke"]
+        assert stats["handle_cache_misses"] >= 1
+        assert stats["pool_failures"] == 1
+        assert not stats["local_fallback"]
+        assert result.failures == expected.failures > 0
+        assert np.array_equal(result.errors, expected.errors)
+        assert np.array_equal(result.bp_converged, expected.bp_converged)
+
+
+class TestInProcessFold:
+    """Shards the pool never delivered fold in-process under the same
+    stop rule: a run whose pool gives up mid-run, or was marked failed
+    before the run, stops at the same shard as ``workers=1``."""
+
+    RUN = dict(shots=480, seed=5, collect_errors=True,
+               target_precision=0.02, prior_tally=(3, 40))
+
+    @pytest.fixture(scope="class")
+    def expected(self, small_handle):
+        with ShardedExperiment(small_handle, workers=1,
+                               shard_shots=16) as local:
+            result = local.run(**self.RUN)
+        # The stop lands mid-budget, after the prior tally alone fell
+        # short of the target.
+        assert result.stopped_early and result.target_met
+        assert 1 < result.num_shards < 30
+        return result
+
+    def _assert_same_stop(self, result, expected):
+        for name in ("errors", "bp_converged"):
+            assert np.array_equal(getattr(result, name),
+                                  getattr(expected, name)), name
+        for name in ("failures", "shots_used", "num_shards",
+                     "stopped_early", "target_met", "ci_low", "ci_high",
+                     "prior_failures", "prior_shots"):
+            assert getattr(result, name) == getattr(expected, name), name
+
+    def test_pool_giving_up_mid_run(self, small_handle, expected):
+        # Tasks 0-3 run clean; every later task kills its worker, so
+        # the lent pool spends its one rebuild and gives up.
+        plan = FaultPlan(kills=tuple(range(4, 256)))
+        with SharedPool(2, max_rebuilds=1) as pool, activate(plan):
+            with ShardedExperiment(small_handle, pool=pool,
+                                   shard_shots=16) as sharded:
+                result = sharded.run(**self.RUN)
+                stats = dict(sharded.last_run_stats)
+            assert pool.failed
+        assert stats["local_fallback"]
+        assert stats["pool_failures"] == 2
+        assert stats["shards_folded"] == expected.num_shards
+        self._assert_same_stop(result, expected)
+
+    def test_pool_failed_before_the_run(self, small_handle, expected):
+        with SharedPool(2, max_rebuilds=0) as pool:
+            with pytest.raises(PoolUnavailable):
+                pool.rebuild()
+            with ShardedExperiment(small_handle, pool=pool,
+                                   shard_shots=16) as sharded:
+                result = sharded.run(**self.RUN)
+                stats = dict(sharded.last_run_stats)
+        assert stats["local_fallback"]
+        assert stats["tasks_submitted"] == stats["pool_failures"] == 0
+        assert stats["shards_run"] == expected.num_shards
+        self._assert_same_stop(result, expected)
