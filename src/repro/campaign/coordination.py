@@ -50,6 +50,7 @@ from repro.campaign.store import (
     ResultStore,
     _epoch_of,
     _parse_lease,
+    _well_formed,
 )
 from repro.parallel.faults import InjectedFault, active_plan
 
@@ -298,8 +299,7 @@ def _result_records(path: Path) -> tuple[list[dict], int]:
         except (json.JSONDecodeError, UnicodeDecodeError):
             skipped += 1
             continue
-        if (not isinstance(record, dict) or "key" not in record
-                or record.get("version") != STORE_VERSION):
+        if not _well_formed(record) or record.get("version") != STORE_VERSION:
             skipped += 1
             continue
         if record.get("type") in LEASE_TYPES:
@@ -416,6 +416,7 @@ def verify_store(path: "str | Path") -> dict:
     * unparseable interior lines (not a torn tail — those are expected
       after a crash and merely reported in ``info``);
     * a torn (newline-less) final line;
+    * a record that is not a JSON object with a string ``key``;
     * lease-log violations: a ``renew``/``release``/``abandon`` with no
       matching claim at that (worker, epoch), and two *overlapping
       live* claims for one key — a claim at a new epoch appended while
@@ -456,8 +457,8 @@ def verify_store(path: "str | Path") -> dict:
                 problems.append(f"line {index}: unparseable JSON in the "
                                 "interior of the file")
             continue
-        if not isinstance(record, dict) or "key" not in record:
-            problems.append(f"line {index}: record without a 'key'")
+        if not _well_formed(record):
+            problems.append(f"line {index}: record without a string 'key'")
             continue
         if record.get("version") != STORE_VERSION:
             info.append(f"line {index}: foreign store version "
@@ -525,12 +526,12 @@ def repair_store(path: "str | Path") -> dict:
     """Rewrite the store keeping only healthy lines.
 
     Drops exactly the lines :func:`verify_store` calls corrupt — torn
-    or unparseable lines, records without a ``key`` and malformed lease
-    events — all of which :class:`ResultStore` already skips, so the
-    folded state is unchanged.  Every other line is kept: results *and*
-    lease events (epoch folding needs the full lease history), foreign
-    versions too.  Atomic: written to a sibling temp file and
-    ``os.replace``d in.  Returns ``{"kept", "dropped"}``."""
+    or unparseable lines, records without a string ``key`` and
+    malformed lease events — all of which :class:`ResultStore` already
+    skips, so the folded state is unchanged.  Every other line is kept:
+    results *and* lease events (epoch folding needs the full lease
+    history), foreign versions too.  Atomic: written to a sibling temp
+    file and ``os.replace``d in.  Returns ``{"kept", "dropped"}``."""
     path = Path(path)
     raw = path.read_bytes() if path.exists() else b""
     lines = raw.split(b"\n")
@@ -547,7 +548,7 @@ def repair_store(path: "str | Path") -> dict:
         except (json.JSONDecodeError, UnicodeDecodeError):
             dropped += 1
             continue
-        if (not isinstance(record, dict) or "key" not in record
+        if (not _well_formed(record)
                 or (record.get("version") == STORE_VERSION
                     and record.get("type") in LEASE_TYPES
                     and _parse_lease(record) is None)):

@@ -105,18 +105,30 @@ class Lease:
         return not self.released and now < self.renewed_at + self.ttl
 
 
+def _well_formed(record: object) -> bool:
+    """Whether a parsed line is a store record at all: a JSON object
+    whose ``key`` is a string.
+
+    Every reader applies this one test: :class:`ResultStore` skips any
+    other line and counts it in ``skipped_lines``, ``repro store merge``
+    skips it, ``repro store verify`` reports it as a problem and
+    ``repro store repair`` drops it.
+    """
+    return isinstance(record, dict) and isinstance(record.get("key"), str)
+
+
 def _parse_lease(record: dict
                  ) -> "tuple[str, str, int, float, float] | None":
-    """A lease event's ``(key, worker, epoch, ts, ttl)``, or ``None``.
+    """A well-formed lease event's ``(key, worker, epoch, ts, ttl)``,
+    or ``None``.
 
     ``None`` means the event is malformed — a field is missing or does
-    not parse, or the key is not a string — and every reader treats it
-    alike: :class:`ResultStore` skips the line, ``repro store verify``
-    reports it and ``repro store repair`` drops it.  ``ttl`` is a
-    claim's (default 0); other events report 0.
+    not parse — and every reader treats it alike: :class:`ResultStore`
+    skips the line, ``repro store verify`` reports it and
+    ``repro store repair`` drops it.  ``ttl`` is a claim's (default 0);
+    other events report 0.
     """
     try:
-        key = record["key"]
         worker = str(record["worker"])
         epoch = int(record["epoch"])
         ts = float(record["ts"])
@@ -124,9 +136,7 @@ def _parse_lease(record: dict
                if record.get("type") == "claim" else 0.0)
     except (KeyError, TypeError, ValueError):
         return None
-    if not isinstance(key, str):
-        return None
-    return key, worker, epoch, ts, ttl
+    return record["key"], worker, epoch, ts, ttl
 
 
 def _epoch_of(record: dict) -> int:
@@ -239,8 +249,7 @@ class ResultStore:
         return applied
 
     def _apply(self, record: object) -> bool:
-        if (not isinstance(record, dict) or "key" not in record
-                or record.get("version") != STORE_VERSION):
+        if not _well_formed(record) or record.get("version") != STORE_VERSION:
             self.skipped_lines += 1
             return False
         if record.get("type") in LEASE_TYPES:

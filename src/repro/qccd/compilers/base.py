@@ -191,17 +191,11 @@ class Compiler(abc.ABC):
 
     @staticmethod
     def _nearest_trap_with_space(device: QCCDDevice, trap: str) -> str | None:
-        import networkx as nx
-
-        lengths = nx.single_source_shortest_path_length(device.graph, trap)
-        candidates = [
-            (distance, node) for node, distance in lengths.items()
-            if node != trap and device.is_trap(node)
-            and device.free_space(node) > 0
-        ]
-        if not candidates:
-            return None
-        return min(candidates)[1]
+        """The closest other trap with free space (ties by name)."""
+        for candidate in device.traps_by_distance(trap):
+            if device.free_space(candidate) > 0:
+                return candidate
+        return None
 
     def gate_on_trap(self, compiled: CompiledSchedule, device: QCCDDevice,
                      tracker: ResourceTracker, trap: str,

@@ -19,8 +19,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.codes.css import CSSCode
 from repro.codes.scheduling import StabilizerSchedule, x_then_z_schedule
 from repro.qccd.compilers.base import ResourceTracker
@@ -153,9 +151,7 @@ class MoveBatchingCompiler(EJFGridCompiler):
             ready_time = max(ready_time, ancilla_available.get(ancilla_qubit, 0.0))
 
             # Visit the nearest trap holding pending data for this ancilla.
-            lengths = nx.single_source_shortest_path_length(
-                device.graph, ancilla_trap
-            )
+            lengths = device.trap_distances(ancilla_trap)
             # Tie-break equidistant traps by name: iterating the raw set
             # would make the schedule depend on the interpreter's hash
             # seed (set order of strings varies across processes).

@@ -49,6 +49,15 @@ class Junction:
 class QCCDDevice:
     """A QCCD machine: the trap/junction graph plus ion occupancy.
 
+    The structure is frozen at construction: ``graph`` must not be
+    mutated once the device exists.  ``__post_init__`` reads it once
+    into tables (node kinds, trap capacities, junction crossing
+    degrees, each node's neighbours in ``graph.adj`` order), so every
+    structure query is a dict lookup, and routing searches that
+    adjacency instead of going through networkx.  Hop distances
+    between traps are computed on first use and kept for the device's
+    lifetime.  Only the ion occupancy changes after construction.
+
     Attributes
     ----------
     name:
@@ -68,36 +77,48 @@ class QCCDDevice:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._occupancy: dict[str, list[int]] = {
-            node: [] for node in self.trap_ids()
+        elements = {node: data["element"]
+                    for node, data in self.graph.nodes(data=True)}
+        self._is_trap = {node: isinstance(element, Trap)
+                         for node, element in elements.items()}
+        self._is_junction = {node: isinstance(element, Junction)
+                             for node, element in elements.items()}
+        self._capacity = {node: element.capacity
+                          for node, element in elements.items()
+                          if isinstance(element, Trap)}
+        self._crossing_degree = {
+            node: 2 if element.l_shaped else self.graph.degree[node]
+            for node, element in elements.items()
+            if isinstance(element, Junction)
         }
-        self._ion_location: dict[int, str] = {}
+        self._adjacency = {node: tuple(neighbours)
+                           for node, neighbours in self.graph.adj.items()}
+        self._traps_by_distance: dict[str, tuple[str, ...]] = {}
+        self._trap_distances: dict[str, dict[str, int]] = {}
+        self.clear_ions()
 
     # ------------------------------------------------------------------
     # Structure queries
     # ------------------------------------------------------------------
-    def element(self, node_id: str):
-        return self.graph.nodes[node_id]["element"]
-
     def is_trap(self, node_id: str) -> bool:
-        return isinstance(self.element(node_id), Trap)
+        return self._is_trap[node_id]
 
     def is_junction(self, node_id: str) -> bool:
-        return isinstance(self.element(node_id), Junction)
+        return self._is_junction[node_id]
 
     def trap_ids(self) -> list[str]:
-        return [n for n in self.graph.nodes if self.is_trap(n)]
+        return list(self._capacity)
 
     def junction_ids(self) -> list[str]:
-        return [n for n in self.graph.nodes if self.is_junction(n)]
+        return list(self._crossing_degree)
 
     @property
     def num_traps(self) -> int:
-        return len(self.trap_ids())
+        return len(self._capacity)
 
     @property
     def num_junctions(self) -> int:
-        return len(self.junction_ids())
+        return len(self._crossing_degree)
 
     @property
     def num_segments(self) -> int:
@@ -110,21 +131,23 @@ class QCCDDevice:
 
     def junction_crossing_degree(self, node_id: str) -> int:
         """Degree used for pricing a crossing (2 for L-shaped junctions)."""
-        element = self.element(node_id)
-        if not isinstance(element, Junction):
-            raise ValueError(f"{node_id} is not a junction")
-        if element.l_shaped:
-            return 2
-        return self.graph.degree[node_id]
+        return self._lookup(self._crossing_degree, node_id, "junction")
 
     def trap_capacity(self, node_id: str) -> int:
-        element = self.element(node_id)
-        if not isinstance(element, Trap):
-            raise ValueError(f"{node_id} is not a trap")
-        return element.capacity
+        return self._lookup(self._capacity, node_id, "trap")
+
+    def _lookup(self, table: dict[str, int], node_id: str, kind: str) -> int:
+        """``table[node_id]``; ``KeyError`` for a node not on the device,
+        ``ValueError`` for a node that is not a ``kind``."""
+        value = table.get(node_id)
+        if value is None:
+            if node_id not in self._is_trap:
+                raise KeyError(node_id)
+            raise ValueError(f"{node_id} is not a {kind}")
+        return value
 
     def total_capacity(self) -> int:
-        return sum(self.trap_capacity(t) for t in self.trap_ids())
+        return sum(self._capacity.values())
 
     def validate_degrees(self) -> bool:
         """Traps may connect to at most two shuttling paths; junctions to four."""
@@ -171,18 +194,87 @@ class QCCDDevice:
         return max(len(self._occupancy[trap_id]), 2)
 
     def free_space(self, trap_id: str) -> int:
-        return self.trap_capacity(trap_id) - self.occupancy(trap_id)
+        return self.trap_capacity(trap_id) - len(self._occupancy[trap_id])
 
     def clear_ions(self) -> None:
-        self._occupancy = {node: [] for node in self.trap_ids()}
-        self._ion_location = {}
+        self._occupancy: dict[str, list[int]] = {
+            node: [] for node in self._capacity
+        }
+        self._ion_location: dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def shortest_path(self, source: str, target: str) -> list[str]:
-        """Shortest node path between two traps (inclusive of endpoints)."""
-        return nx.shortest_path(self.graph, source, target)
+        """Shortest node path between two traps (inclusive of endpoints).
+
+        networkx's bidirectional breadth-first search
+        (``nx.shortest_path`` without weights) run on the frozen
+        adjacency: the same expansion order, so the same path wherever
+        several are equally short.
+        """
+        adjacency = self._adjacency
+        if source not in adjacency:
+            raise nx.NodeNotFound(f"Source {source} is not in G")
+        if target not in adjacency:
+            raise nx.NodeNotFound(f"Target {target} is not in G")
+        if source == target:
+            return [source]
+        pred: dict[str, str | None] = {source: None}
+        succ: dict[str, str | None] = {target: None}
+        forward, reverse = [source], [target]
+        meet = None
+        while forward and reverse and meet is None:
+            # Grow the smaller fringe by one level (forward on a tie).
+            if len(forward) <= len(reverse):
+                forward, meet = _expand(adjacency, forward, pred, succ)
+            else:
+                reverse, meet = _expand(adjacency, reverse, succ, pred)
+        if meet is None:
+            raise nx.NetworkXNoPath(
+                f"No path between {source} and {target}.")
+        path = []
+        node = meet
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[meet]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
+
+    def trap_distances(self, node_id: str) -> dict[str, int]:
+        """Hop distance from ``node_id`` to every trap reachable from it
+        (``node_id`` itself at 0 if it is a trap).
+
+        Cached for the device's lifetime and shared by every caller, so
+        callers must not mutate it.
+        """
+        distances = self._trap_distances.get(node_id)
+        if distances is None:
+            distances = {
+                node: hops for node, hops
+                in _hop_distances(self._adjacency, node_id).items()
+                if self._is_trap[node]
+            }
+            self._trap_distances[node_id] = distances
+        return distances
+
+    def traps_by_distance(self, node_id: str) -> tuple[str, ...]:
+        """Every other trap reachable from ``node_id``, nearest first,
+        equidistant traps by name: the order of ``min`` over
+        ``(distance, trap)`` pairs, cached per device."""
+        order = self._traps_by_distance.get(node_id)
+        if order is None:
+            distances = self.trap_distances(node_id)
+            order = tuple(sorted(
+                (trap for trap in distances if trap != node_id),
+                key=lambda trap: (distances[trap], trap),
+            ))
+            self._traps_by_distance[node_id] = order
+        return order
 
     def path_junction_degrees(self, path: list[str]) -> list[int]:
         """Degrees of the junctions traversed by a node path."""
@@ -199,3 +291,39 @@ class QCCDDevice:
             f"QCCDDevice({self.name}, traps={self.num_traps}, "
             f"junctions={self.num_junctions}, segments={self.num_segments})"
         )
+
+
+def _expand(adjacency: dict[str, tuple[str, ...]], level: list[str],
+            parents: dict, others: dict) -> tuple[list[str], str | None]:
+    """Grow one side of a bidirectional search by one level.
+
+    Records each newly reached node's parent in ``parents`` and returns
+    the next fringe plus the first node already reached from the other
+    side (``None`` while the two sides have not met).
+    """
+    fringe: list[str] = []
+    for node in level:
+        for neighbour in adjacency[node]:
+            if neighbour not in parents:
+                fringe.append(neighbour)
+                parents[neighbour] = node
+            if neighbour in others:
+                return fringe, neighbour
+    return fringe, None
+
+
+def _hop_distances(adjacency: dict[str, tuple[str, ...]],
+                   source: str) -> dict[str, int]:
+    """Breadth-first hop distance to every node reachable from
+    ``source``."""
+    distances = {source: 0}
+    level = [source]
+    while level:
+        following = []
+        for node in level:
+            for neighbour in adjacency[node]:
+                if neighbour not in distances:
+                    distances[neighbour] = distances[node] + 1
+                    following.append(neighbour)
+        level = following
+    return distances

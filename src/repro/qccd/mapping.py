@@ -115,14 +115,13 @@ def greedy_cluster_mapping(code: CSSCode, device: QCCDDevice) -> QubitPlacement:
         trap = next(trap_iter)
         return trap, device.trap_capacity(trap)
 
+    weighted_degree = {
+        q: sum(data["weight"] for _, _, data in graph.edges(q, data=True))
+        for q in unplaced
+    }
     while unplaced:
         # Seed: highest weighted degree among unplaced qubits.
-        seed = max(
-            unplaced,
-            key=lambda q: sum(
-                data["weight"] for _, _, data in graph.edges(q, data=True)
-            ),
-        )
+        seed = max(unplaced, key=weighted_degree.__getitem__)
         cluster = [seed]
         frontier = {seed}
         unplaced.discard(seed)

@@ -443,6 +443,45 @@ class TestStoreCommand:
         assert after.records() == before.records()
         assert after.leases() == before.leases()
 
+    @staticmethod
+    def _bad_key_store(path, key):
+        """A store whose first line's ``key`` is not a string, then one
+        good result record."""
+        good = {"key": "a", "failures": 1, "shots": 10, "version": 1}
+        bad = {"key": key, "version": 1, "failures": 0, "shots": 1}
+        path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+        return path
+
+    @pytest.mark.parametrize("key", [[1], 7, None])
+    def test_load_skips_a_non_string_key(self, tmp_path, key):
+        from repro.campaign import ResultStore
+        store = ResultStore(self._bad_key_store(tmp_path / "s.jsonl", key))
+        assert store.skipped_lines == 1
+        assert [record["key"] for record in store.records()] == ["a"]
+
+    @pytest.mark.parametrize("key", [[1], 7, None])
+    def test_merge_skips_a_non_string_key(self, capsys, tmp_path, key):
+        from repro.campaign import ResultStore
+        path = self._bad_key_store(tmp_path / "s.jsonl", key)
+        out = tmp_path / "merged.jsonl"
+        assert main(["store", "merge", str(out), str(path)]) == 0
+        assert "1 records (1 read, 1 lines skipped)" in \
+            capsys.readouterr().out
+        merged = ResultStore(out)
+        assert merged.skipped_lines == 0
+        assert [record["key"] for record in merged.records()] == ["a"]
+
+    @pytest.mark.parametrize("key", [[1], 7, None])
+    def test_verify_flags_a_non_string_key(self, capsys, tmp_path, key):
+        path = self._bad_key_store(tmp_path / "s.jsonl", key)
+        assert main(["store", "verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "line 1: record without a string 'key'" in err
+        assert "repro store repair" in err
+        assert main(["store", "repair", str(path)]) == 0
+        assert "kept 1" in capsys.readouterr().out
+        assert main(["store", "verify", str(path)]) == 0
+
 
 class TestServeCommand:
     """`repro serve` argument handling and exit codes (0 = graceful

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,8 @@ from repro.qccd import (
     pseudo_opt_device,
     ring_device,
 )
+from repro.qccd.compilers.base import Compiler
+from repro.qccd.hardware import Junction, QCCDDevice, Trap
 
 
 class TestOperationTimes:
@@ -212,3 +217,142 @@ class TestTopologySizing:
             neighbors = list(device.graph.neighbors(trap))
             assert len(neighbors) == 1
             assert device.is_junction(neighbors[0])
+
+
+#: One small device from every topology builder, keyed for test ids.
+DEVICES = {
+    "baseline_grid": lambda: baseline_grid_device(16, trap_capacity=3),
+    "alternate_grid": lambda: alternate_grid_device(25, trap_capacity=2),
+    "ring": lambda: ring_device(num_traps=11, trap_capacity=3),
+    "ring_two_traps": lambda: ring_device(num_traps=2, trap_capacity=3),
+    "mesh_junction": lambda: mesh_junction_device(18, trap_capacity=2),
+    "opt": lambda: opt_device(surface_code(3)),
+    "pseudo_opt": lambda: pseudo_opt_device(surface_code(3)),
+}
+
+
+def _element(device, node):
+    return device.graph.nodes[node]["element"]
+
+
+def _reference_nearest_with_space(device, trap):
+    """Reference: ``min((distance, node))`` over every other trap with
+    space, with distances from networkx's breadth-first search."""
+    lengths = nx.single_source_shortest_path_length(device.graph, trap)
+    candidates = [
+        (distance, node) for node, distance in lengths.items()
+        if node != trap and isinstance(_element(device, node), Trap)
+        and _element(device, node).capacity - device.occupancy(node) > 0
+    ]
+    return min(candidates)[1] if candidates else None
+
+
+@pytest.mark.parametrize("builder", DEVICES.values(), ids=list(DEVICES))
+class TestFrozenStructureMatchesNetworkx:
+    """The tables a device freezes at construction answer exactly what
+    networkx and the node ``element`` attributes answer."""
+
+    def test_structure_tables(self, builder):
+        device = builder()
+        nodes = list(device.graph.nodes)
+        traps = [n for n in nodes if isinstance(_element(device, n), Trap)]
+        junctions = [n for n in nodes
+                     if isinstance(_element(device, n), Junction)]
+        assert device.trap_ids() == traps
+        assert device.junction_ids() == junctions
+        assert device.num_traps == len(traps)
+        assert device.num_junctions == len(junctions)
+        assert device.total_capacity() == sum(
+            _element(device, t).capacity for t in traps)
+        for node in nodes:
+            assert device.is_trap(node) == (node in traps)
+            assert device.is_junction(node) == (node in junctions)
+        for trap in traps:
+            capacity = _element(device, trap).capacity
+            assert device.trap_capacity(trap) == capacity
+            assert device.free_space(trap) == device.trap_capacity(trap)
+            with pytest.raises(ValueError):
+                device.junction_crossing_degree(trap)
+        for junction in junctions:
+            element = _element(device, junction)
+            expected = 2 if element.l_shaped else device.graph.degree[junction]
+            assert device.junction_crossing_degree(junction) == expected
+            with pytest.raises(ValueError):
+                device.trap_capacity(junction)
+
+    def test_unknown_nodes_raise_key_error(self, builder):
+        device = builder()
+        for query in (device.is_trap, device.is_junction,
+                      device.trap_capacity, device.free_space,
+                      device.junction_crossing_degree,
+                      device.junction_degree):
+            with pytest.raises(KeyError):
+                query("no-such-node")
+
+    def test_shortest_paths_equal_networkx(self, builder):
+        device = builder()
+        nodes = list(device.graph.nodes)
+        for source in nodes:
+            for target in nodes:
+                assert device.shortest_path(source, target) == \
+                    nx.shortest_path(device.graph, source, target)
+
+    def test_trap_distances_equal_networkx(self, builder):
+        device = builder()
+        for trap in device.trap_ids():
+            lengths = nx.single_source_shortest_path_length(device.graph,
+                                                            trap)
+            assert device.trap_distances(trap) == {
+                node: hops for node, hops in lengths.items()
+                if isinstance(_element(device, node), Trap)
+            }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nearest_trap_with_space_equals_networkx_scan(self, builder,
+                                                          seed):
+        device = builder()
+        rng = random.Random(seed)
+        ion = 0
+        for trap in device.trap_ids():
+            capacity = device.trap_capacity(trap)
+            # Mostly full traps, so the search has to look past the
+            # nearest ones; some over-full, as rebalances leave them.
+            fill = capacity + rng.choice([-1, 0, 0, 0, 1])
+            if rng.random() < 0.2:
+                fill = rng.randrange(capacity + 1)
+            for _ in range(max(fill, 0)):
+                device.place_ion(ion, trap, enforce_capacity=False)
+                ion += 1
+        for trap in device.trap_ids():
+            assert Compiler._nearest_trap_with_space(device, trap) == \
+                _reference_nearest_with_space(device, trap)
+
+
+class TestFrozenRoutingEdgeCases:
+    def test_no_path_raises_like_networkx(self):
+        graph = nx.Graph()
+        graph.add_node("A", element=Trap("A", 2))
+        graph.add_node("B", element=Trap("B", 2))
+        device = QCCDDevice(name="split", graph=graph, dac_count=2)
+        with pytest.raises(nx.NetworkXNoPath):
+            nx.shortest_path(graph, "A", "B")
+        with pytest.raises(nx.NetworkXNoPath):
+            device.shortest_path("A", "B")
+        assert device.trap_distances("A") == {"A": 0}
+        device.place_ion(0, "A")
+        device.place_ion(1, "A")
+        assert Compiler._nearest_trap_with_space(device, "A") is None
+
+    def test_unknown_endpoints_raise_node_not_found(self):
+        device = ring_device(num_traps=4, trap_capacity=2)
+        with pytest.raises(nx.NodeNotFound):
+            device.shortest_path("T0", "nowhere")
+        with pytest.raises(nx.NodeNotFound):
+            device.shortest_path("nowhere", "T0")
+
+    def test_single_trap_ring_has_no_other_trap(self):
+        device = ring_device(num_traps=1, trap_capacity=2)
+        assert device.traps_by_distance("T0") == ()
+        assert Compiler._nearest_trap_with_space(device, "T0") is None
+        assert device.shortest_path("T0", "T0") == ["T0"]
+
