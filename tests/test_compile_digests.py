@@ -12,6 +12,10 @@ either: the BB [[72,12,6]] set is recomputed in fresh interpreters at
 ``PYTHONHASHSEED=0`` and ``1``, which catches a tie-break over an
 unordered container (the kind of bug that once made ``baseline3``
 depend on set order).
+
+``PINNED_VARIANTS`` covers configurations no codesign reaches: every
+codesign under other knobs, and the dynamic, baseline-2 and baseline-3
+dispatch rules on other topologies.
 """
 
 from __future__ import annotations
@@ -27,6 +31,12 @@ import pytest
 
 from repro.codes import code_by_name
 from repro.core.codesign import available_codesigns, codesign_by_name
+from repro.qccd.compilers import (
+    DynamicTimesliceCompiler,
+    MoveBatchingCompiler,
+    ShuttleMinimizingCompiler,
+)
+from repro.qccd.timing import OperationTimes, SwapKind
 
 CODES = ("BB [[72,12,6]]", "HGP [[225,9,6]]", "BB [[144,12,12]]")
 
@@ -90,6 +100,68 @@ PINNED = {
 }
 
 
+#: The second knob setting of perfbench's ``design_space`` workload:
+#: faster operations and junctions, and ion swaps.
+KNOB_TIMES = OperationTimes(improvement_factor=0.25,
+                            junction_improvement_factor=0.5,
+                            swap_kind=SwapKind.ION_SWAP)
+
+#: The code every variant in ``PINNED_VARIANTS`` compiles.
+VARIANT_CODE = "BB [[72,12,6]]"
+
+#: ``PINNED_VARIANTS[name]``: the digest of ``variant_compilers(code)[name]``
+#: compiling ``VARIANT_CODE``.
+PINNED_VARIANTS = {
+    "knobs/alternate_grid":
+        "e3a933e30227582fb1679996202910c38f8440dba484f699e0832039be2dd5e7",
+    "knobs/baseline":
+        "8735b04234ebc1ead96b16ca634323d2dcc681e48df275eaec72284af27f69c5",
+    "knobs/baseline2":
+        "b00b9bbeb17c3e83d3a1243e68a111a580d31da11d6485ecf9d82d5ff3914758",
+    "knobs/baseline3":
+        "3de8ff3bbd862729a76d46dbf2304fd9ccde9cebeda5e16c035f67eeccc30619",
+    "knobs/baseline_grid_dynamic":
+        "2e222a42af8e301e9edf49474b5ca644310690b698d2a16a7c2a8185fcf2c971",
+    "knobs/cyclone":
+        "0e449834c3d7e7da182b032892f5c06a2ca9d981c66a3e669ed9f9531898aafc",
+    "knobs/ejf_ring":
+        "083d6e7b3e08a592b25f50d8f789351807405747d4ddb74a55ff0f610c1dcf04",
+    "knobs/mesh_junction":
+        "a89cfc18c189a8fc53a0ca0817f412214de6cb7075cab6e4a917c4118d80e969",
+    "dynamic_ring":
+        "002b92d9ad98829e769ad34291f8984b5f0965ba93d3e175206f5e16b799c5d6",
+    "dynamic_alternate_grid":
+        "71a503d79d39020cfa3a1d5b9bc711acb9f7a35b05261b4293a01bd8a832f84c",
+    "baseline3_ring":
+        "702dcb37f810fbfb2341fdacb1b1a1702d8728a02b4cef7cb9ee4f1ff6299c4f",
+    "baseline2_ring":
+        "21ba590228cc9ed34a9c2c3cb3ab8bef7f16605bd4b322f7522222f8086c9005",
+}
+
+
+def variant_compilers(code) -> dict:
+    """Compiler configurations that no codesign in ``PINNED`` reaches.
+
+    ``knobs/<codesign>`` is each codesign under :data:`KNOB_TIMES` with
+    trap capacity 8, or, for Cyclone, a ring of half its base trap
+    count.  The other four run the dynamic, baseline-2 and baseline-3
+    dispatch rules on topologies their codesigns do not use.
+    """
+    m_basis = max(code.num_x_stabilizers, code.num_z_stabilizers)
+    variants = {}
+    for name in available_codesigns():
+        overrides = ({"num_traps": m_basis // 2} if name == "cyclone"
+                     else {"trap_capacity": 8})
+        variants[f"knobs/{name}"] = codesign_by_name(
+            name, times=KNOB_TIMES, **overrides).compiler
+    variants["dynamic_ring"] = DynamicTimesliceCompiler(topology="ring")
+    variants["dynamic_alternate_grid"] = DynamicTimesliceCompiler(
+        topology="alternate_grid")
+    variants["baseline3_ring"] = MoveBatchingCompiler(topology="ring")
+    variants["baseline2_ring"] = ShuttleMinimizingCompiler(topology="ring")
+    return variants
+
+
 def schedule_digest(compiled) -> str:
     """SHA-256 of a compiled schedule's operations and metadata."""
     hasher = hashlib.sha256()
@@ -116,6 +188,13 @@ def test_every_codesign_is_pinned():
 @pytest.mark.parametrize("code_name", CODES)
 def test_schedules_match_pinned_digests(code_name):
     assert digests_for(code_name) == PINNED[code_name]
+
+
+def test_variants_match_pinned_digests():
+    code = code_by_name(VARIANT_CODE)
+    digests = {name: schedule_digest(compiler.compile(code))
+               for name, compiler in variant_compilers(code).items()}
+    assert digests == PINNED_VARIANTS
 
 
 _SUBPROCESS = """
