@@ -9,7 +9,7 @@ footprint (traps, junctions, ancillas, DACs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.codes.css import CSSCode
 from repro.codes.scheduling import StabilizerSchedule
@@ -35,7 +35,6 @@ class Codesign:
     name: str
     compiler: Compiler
     description: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def compile(self, code: CSSCode,
                 schedule: StabilizerSchedule | None = None) -> CompiledSchedule:
@@ -44,12 +43,7 @@ class Codesign:
 
     def with_times(self, times: OperationTimes) -> "Codesign":
         """The same codesign with different operation timing constants."""
-        return Codesign(
-            name=self.name,
-            compiler=replace(self.compiler, times=times),
-            description=self.description,
-            metadata=dict(self.metadata),
-        )
+        return replace(self, compiler=replace(self.compiler, times=times))
 
     def spatial_summary(self, compiled: CompiledSchedule) -> dict[str, float]:
         """Spatial cost figures extracted from a compiled schedule."""
@@ -133,12 +127,7 @@ def codesign_by_name(name: str, times: OperationTimes | None = None,
             f"unknown codesign {name!r}; available: {available_codesigns()}"
         )
     codesign = _FACTORIES[name]()
-    if compiler_overrides:
-        codesign = Codesign(
-            name=codesign.name,
-            compiler=replace(codesign.compiler, **compiler_overrides),
-            description=codesign.description,
-        )
     if times is not None:
-        codesign = codesign.with_times(times)
+        compiler_overrides["times"] = times
+    codesign.compiler = replace(codesign.compiler, **compiler_overrides)
     return codesign

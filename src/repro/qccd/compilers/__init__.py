@@ -7,7 +7,11 @@ codesigns evaluated in the paper:
 
 * :class:`~repro.qccd.compilers.ejf.EJFGridCompiler` — the baseline:
   greedy cluster mapping + static earliest-job-first scheduling of the
-  gate DAG (Murali et al.), runnable on any topology.
+  gate DAG (Murali et al.), runnable on any topology.  Its ``compile``
+  is the one skeleton of the routing compilers below, which each
+  override one or two of its steps (placement, gate dispatch, gate
+  execution).  The device's occupancy is the only record of where an
+  ion is.
 * :class:`~repro.qccd.compilers.dynamic.DynamicTimesliceCompiler` — the
   "dynamic software" policy: schedules whole timeslices of the
   maximally parallel schedule at once; on a grid this roadblocks badly.

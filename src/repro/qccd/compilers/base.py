@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from repro.codes.css import CSSCode
 from repro.codes.scheduling import StabilizerSchedule
 from repro.qccd.hardware import QCCDDevice
-from repro.qccd.mapping import QubitPlacement
 from repro.qccd.schedule import CompiledSchedule, OpKind
 from repro.qccd.timing import OperationTimes
 
-__all__ = ["ResourceTracker", "ShuttleOutcome", "Compiler"]
+__all__ = ["ResourceTracker", "Compiler"]
 
 
 class ResourceTracker:
@@ -57,15 +56,6 @@ class ResourceTracker:
 
 
 @dataclass
-class ShuttleOutcome:
-    """Result of routing one ion between traps."""
-
-    finish_us: float
-    ops_emitted: int
-    waited_us: float = 0.0
-
-
-@dataclass
 class Compiler(abc.ABC):
     """Base class: compile one round of syndrome extraction for a code."""
 
@@ -77,16 +67,17 @@ class Compiler(abc.ABC):
         """Produce the compiled schedule of one syndrome-extraction round."""
 
     # ------------------------------------------------------------------
-    # Helpers shared by the routing compilers
+    # Helpers shared by the routing compilers.  The device's occupancy is
+    # the only record of where an ion is: every move goes through it.
     # ------------------------------------------------------------------
     def shuttle_ion(self, compiled: CompiledSchedule, device: QCCDDevice,
                     tracker: ResourceTracker, ion: int, source: str,
-                    target: str, not_before: float,
-                    placement: QubitPlacement) -> float:
+                    target: str, not_before: float) -> float:
         """Emit the atomic operations moving ``ion`` from ``source`` to ``target``.
 
-        Returns the finish time.  The path is the shortest node path on
-        the device graph.  Resources reserved per leg:
+        Returns the finish time; the device then holds ``ion`` in
+        ``target``.  The path is the shortest node path on the device
+        graph.  Resources reserved per leg:
 
         * a swap (to bring the ion to the trap edge) and a split at the
           source trap,
@@ -150,8 +141,7 @@ class Compiler(abc.ABC):
 
         # Rebalance if the destination has no free space.
         if device.free_space(target) <= 0:
-            clock = self._rebalance(compiled, device, tracker, target, clock,
-                                    placement)
+            clock = self._rebalance(compiled, device, tracker, target, clock)
 
         start = tracker.earliest_start([target], clock)
         clock = tracker.reserve([target], start, times.merge,
@@ -159,12 +149,11 @@ class Compiler(abc.ABC):
         compiled.add(OpKind.MERGE, start, times.merge, (ion,), target)
 
         device.place_ion(ion, target, enforce_capacity=False)
-        placement.qubit_to_trap[ion] = target
         return clock
 
     def _rebalance(self, compiled: CompiledSchedule, device: QCCDDevice,
-                   tracker: ResourceTracker, trap: str, not_before: float,
-                   placement: QubitPlacement) -> float:
+                   tracker: ResourceTracker, trap: str,
+                   not_before: float) -> float:
         """Move one ion out of a full trap to the nearest trap with space."""
         times = self.times
         victims = device.ions_in(trap)
@@ -186,7 +175,6 @@ class Compiler(abc.ABC):
         compiled.add(OpKind.REBALANCE, start, times.rebalance(), (victim,),
                      f"{trap}->{destination}")
         device.place_ion(victim, destination, enforce_capacity=False)
-        placement.qubit_to_trap[victim] = destination
         return end
 
     @staticmethod
@@ -210,11 +198,11 @@ class Compiler(abc.ABC):
 
     def measure_ancillas(self, compiled: CompiledSchedule, device: QCCDDevice,
                          tracker: ResourceTracker, ancillas,
-                         placement: QubitPlacement, not_before: float) -> float:
+                         not_before: float) -> float:
         """Measure every ancilla in place (serial within a trap, parallel across)."""
         finish = not_before
         for ancilla in ancillas:
-            trap = placement.trap_of(ancilla)
+            trap = device.ion_location(ancilla)
             duration = self.times.measurement()
             start = tracker.earliest_start([trap], not_before)
             end = tracker.reserve([trap], start, duration)

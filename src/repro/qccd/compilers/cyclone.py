@@ -75,13 +75,12 @@ class CycloneCompiler(Compiler):
     trap_capacity:
         Ion capacity per trap.  ``None`` selects the "tight" capacity:
         exactly the resident data + ancilla count.
-    include_measurement:
-        Append the ancilla measurement at the end of each rotation.
+
+    Each rotation ends with the measurement of its ancillas.
     """
 
     num_traps: int | None = None
     trap_capacity: int | None = None
-    include_measurement: bool = True
     label: str = "cyclone"
 
     # ------------------------------------------------------------------
@@ -138,16 +137,15 @@ class CycloneCompiler(Compiler):
                 data_partition, ancilla_partition, x, chain_length, clock,
                 corner_count,
             )
-            if self.include_measurement:
-                duration = self.times.measurement()
-                compiled.add(
-                    OpKind.MEASUREMENT, clock, duration,
-                    tuple(code.num_qubits + stabilizer_offset + a
-                          for a in range(len(supports))),
-                    location="ring", note=f"{basis} ancilla readout",
-                    multiplicity=max(len(supports), 1),
-                )
-                clock += duration
+            duration = self.times.measurement()
+            compiled.add(
+                OpKind.MEASUREMENT, clock, duration,
+                tuple(code.num_qubits + stabilizer_offset + a
+                      for a in range(len(supports))),
+                location="ring", note=f"{basis} ancilla readout",
+                multiplicity=max(len(supports), 1),
+            )
+            clock += duration
 
         compiled.metadata["execution_time_us"] = clock
         compiled.metadata["roadblock_wait_us"] = 0.0

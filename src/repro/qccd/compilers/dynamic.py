@@ -7,6 +7,10 @@ their shuttles) have completed.  On a roadblock-free topology this
 realises the ideal parallelism; on a grid the concurrent shuttles
 contend for traps and junctions, and the paper finds it performs even
 worse than the greedy static baseline (Figure 4a / Figure 6).
+
+The compiler runs :class:`~repro.qccd.compilers.ejf.EJFGridCompiler`'s
+skeleton and replaces two of its steps: the placement and the gate
+dispatch.
 """
 
 from __future__ import annotations
@@ -14,83 +18,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codes.css import CSSCode
-from repro.codes.scheduling import StabilizerSchedule, x_then_z_schedule
-from repro.qccd.compilers.base import Compiler, ResourceTracker
-from repro.qccd.compilers.ejf import build_device_for
-from repro.qccd.mapping import greedy_cluster_mapping, round_robin_mapping
+from repro.codes.scheduling import StabilizerSchedule
+from repro.qccd.compilers.base import ResourceTracker
+from repro.qccd.compilers.ejf import EJFGridCompiler
+from repro.qccd.hardware import QCCDDevice
+from repro.qccd.mapping import QubitPlacement, round_robin_mapping
 from repro.qccd.schedule import CompiledSchedule
 
 __all__ = ["DynamicTimesliceCompiler"]
 
 
 @dataclass
-class DynamicTimesliceCompiler(Compiler):
+class DynamicTimesliceCompiler(EJFGridCompiler):
     """Dynamic timeslice dispatch on an arbitrary topology."""
 
-    topology: str = "baseline_grid"
-    trap_capacity: int = 5
-    side_length: int | None = None
-    num_traps: int | None = None
-    include_measurement: bool = True
-    #: Use the balanced round-robin placement instead of greedy clusters.
-    #: The paper's dynamic policy assigns stabilizers to ancillas on the
-    #: fly rather than exploiting a locality-aware cluster mapping, which
-    #: is part of why it roadblocks so badly on a grid (Figure 4a).
-    balanced_placement: bool = True
     label: str = "dynamic_timeslice"
 
-    def compile(self, code: CSSCode,
-                schedule: StabilizerSchedule | None = None) -> CompiledSchedule:
-        if schedule is None:
-            schedule = x_then_z_schedule(code)
-        device = build_device_for(code, self.topology, self.trap_capacity,
-                                  self.side_length, self.num_traps)
-        if self.balanced_placement:
-            placement = round_robin_mapping(code, device)
-        else:
-            placement = greedy_cluster_mapping(code, device)
-        placement.apply_to_device(device)
+    def _place(self, code: CSSCode, device: QCCDDevice) -> QubitPlacement:
+        """The balanced round-robin placement.
 
-        compiled = CompiledSchedule(
-            architecture=f"{self.label}:{device.name}", code_name=code.name,
-            metadata={
-                "topology": device.name,
-                "num_traps": device.num_traps,
-                "num_junctions": device.num_junctions,
-                "trap_capacity": self.trap_capacity,
-                "dac_count": device.dac_count,
-                "num_ancilla": code.num_stabilizers,
-            },
-        )
-        tracker = ResourceTracker()
-        num_data = code.num_qubits
+        The paper's dynamic policy assigns stabilizers to ancillas on
+        the fly rather than exploiting a locality-aware cluster mapping,
+        which is part of why it roadblocks so badly on a grid
+        (Figure 4a).
+        """
+        return round_robin_mapping(code, device)
 
+    def _schedule_gates(self, compiled: CompiledSchedule, code: CSSCode,
+                        schedule: StabilizerSchedule, device: QCCDDevice,
+                        tracker: ResourceTracker) -> float:
+        """Dispatch each timeslice at the barrier the previous one set."""
         barrier = 0.0
         for timeslice in schedule.timeslices:
             slice_finish = barrier
             for gate in timeslice:
-                ancilla_qubit = num_data + gate.stabilizer
-                ancilla_trap = placement.trap_of(ancilla_qubit)
-                data_trap = placement.trap_of(gate.data)
-                clock = barrier
-                if ancilla_trap != data_trap:
-                    clock = self.shuttle_ion(
-                        compiled, device, tracker, ancilla_qubit, ancilla_trap,
-                        data_trap, clock, placement,
-                    )
-                finish = self.gate_on_trap(
-                    compiled, device, tracker, data_trap,
-                    (ancilla_qubit, gate.data), clock,
+                finish = self._execute_gate(
+                    compiled, device, tracker,
+                    code.num_qubits + gate.stabilizer, gate.data, barrier,
                 )
                 slice_finish = max(slice_finish, finish)
             barrier = slice_finish
-
-        if self.include_measurement:
-            ancillas = [num_data + s for s in range(code.num_stabilizers)]
-            barrier = self.measure_ancillas(
-                compiled, device, tracker, ancillas, placement, barrier
-            )
-        compiled.metadata["execution_time_us"] = barrier
-        compiled.metadata["roadblock_wait_us"] = tracker.total_wait_us
-        compiled.metadata["roadblock_events"] = tracker.wait_events
-        return compiled
+        return barrier

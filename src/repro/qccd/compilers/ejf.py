@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.codes.css import CSSCode
-from repro.codes.scheduling import ScheduledGate, StabilizerSchedule, x_then_z_schedule
+from repro.codes.scheduling import StabilizerSchedule, x_then_z_schedule
 from repro.qccd.compilers.base import Compiler, ResourceTracker
 from repro.qccd.hardware import QCCDDevice
 from repro.qccd.mapping import QubitPlacement, greedy_cluster_mapping
@@ -68,13 +68,20 @@ def build_device_for(code: CSSCode, topology: str, trap_capacity: int,
 
 @dataclass
 class EJFGridCompiler(Compiler):
-    """Baseline-1: static earliest-job-first scheduling of the gate DAG."""
+    """Baseline-1: static earliest-job-first scheduling of the gate DAG.
+
+    Its :meth:`compile` is the one skeleton of every routing compiler:
+    build the device, place the qubits (:meth:`_place`), emit the gates
+    (:meth:`_schedule_gates`, which routes each through
+    :meth:`_execute_gate`), then measure every ancilla where it ended
+    up.  The dynamic, baseline-2 and baseline-3 compilers each override
+    one or two of those steps.
+    """
 
     topology: str = "baseline_grid"
     trap_capacity: int = 5
     side_length: int | None = None
     num_traps: int | None = None
-    include_measurement: bool = True
     #: Name recorded in the compiled schedule.
     label: str = field(default="baseline_ejf")
 
@@ -85,18 +92,7 @@ class EJFGridCompiler(Compiler):
             schedule = x_then_z_schedule(code)
         device = build_device_for(code, self.topology, self.trap_capacity,
                                   self.side_length, self.num_traps)
-        placement = greedy_cluster_mapping(code, device)
-        placement.apply_to_device(device)
-        return self._schedule_gates(code, schedule, device, placement)
-
-    # ------------------------------------------------------------------
-    def _gate_list(self, code: CSSCode,
-                   schedule: StabilizerSchedule) -> list[ScheduledGate]:
-        return [gate for timeslice in schedule.timeslices for gate in timeslice]
-
-    def _schedule_gates(self, code: CSSCode, schedule: StabilizerSchedule,
-                        device: QCCDDevice,
-                        placement: QubitPlacement) -> CompiledSchedule:
+        self._place(code, device).apply_to_device(device)
         compiled = CompiledSchedule(
             architecture=f"{self.label}:{device.name}", code_name=code.name,
             metadata={
@@ -109,7 +105,27 @@ class EJFGridCompiler(Compiler):
             },
         )
         tracker = ResourceTracker()
-        gates = self._gate_list(code, schedule)
+        finish = self._schedule_gates(compiled, code, schedule, device,
+                                      tracker)
+        ancillas = range(code.num_qubits,
+                         code.num_qubits + code.num_stabilizers)
+        compiled.metadata["execution_time_us"] = self.measure_ancillas(
+            compiled, device, tracker, ancillas, finish)
+        compiled.metadata["roadblock_wait_us"] = tracker.total_wait_us
+        compiled.metadata["roadblock_events"] = tracker.wait_events
+        return compiled
+
+    # ------------------------------------------------------------------
+    def _place(self, code: CSSCode, device: QCCDDevice) -> QubitPlacement:
+        """The initial mapping: greedy interaction clusters."""
+        return greedy_cluster_mapping(code, device)
+
+    def _schedule_gates(self, compiled: CompiledSchedule, code: CSSCode,
+                        schedule: StabilizerSchedule, device: QCCDDevice,
+                        tracker: ResourceTracker) -> float:
+        """Emit every gate of ``schedule``; return when the last finishes."""
+        gates = [gate for timeslice in schedule.timeslices
+                 for gate in timeslice]
         num_data = code.num_qubits
 
         # Build the per-qubit dependency chains (the gate DAG).
@@ -144,7 +160,7 @@ class EJFGridCompiler(Compiler):
                 qubit_available.get(gate.data, 0.0),
             )
             finish = self._execute_gate(
-                compiled, device, tracker, placement, ancilla_qubit, gate.data,
+                compiled, device, tracker, ancilla_qubit, gate.data,
                 ready_time,
             )
             finish_time[index] = finish
@@ -161,30 +177,19 @@ class EJFGridCompiler(Compiler):
 
         if scheduled != len(gates):  # pragma: no cover - sanity guard
             raise RuntimeError("EJF scheduling left gates unscheduled")
+        return max(finish_time, default=0.0)
 
-        makespan = max(finish_time) if finish_time else 0.0
-        if self.include_measurement:
-            ancillas = [num_data + s for s in range(code.num_stabilizers)]
-            makespan = self.measure_ancillas(
-                compiled, device, tracker, ancillas, placement, makespan
-            )
-        compiled.metadata["execution_time_us"] = makespan
-        compiled.metadata["roadblock_wait_us"] = tracker.total_wait_us
-        compiled.metadata["roadblock_events"] = tracker.wait_events
-        return compiled
-
-    # ------------------------------------------------------------------
     def _execute_gate(self, compiled: CompiledSchedule, device: QCCDDevice,
-                      tracker: ResourceTracker, placement: QubitPlacement,
-                      ancilla_qubit: int, data_qubit: int,
-                      ready_time: float) -> float:
-        ancilla_trap = placement.trap_of(ancilla_qubit)
-        data_trap = placement.trap_of(data_qubit)
+                      tracker: ResourceTracker, ancilla_qubit: int,
+                      data_qubit: int, ready_time: float) -> float:
+        """Shuttle the ancilla to the data ion's trap and run the gate there."""
+        ancilla_trap = device.ion_location(ancilla_qubit)
+        data_trap = device.ion_location(data_qubit)
         clock = ready_time
         if ancilla_trap != data_trap:
             clock = self.shuttle_ion(
                 compiled, device, tracker, ancilla_qubit, ancilla_trap,
-                data_trap, clock, placement,
+                data_trap, clock,
             )
         return self.gate_on_trap(
             compiled, device, tracker, data_trap,

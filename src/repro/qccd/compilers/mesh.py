@@ -41,7 +41,6 @@ class MeshJunctionCompiler(Compiler):
     #: uses the paper's own estimate of n/2 - 1 high-degree junctions hit
     #: per time slice (Section III-C).
     path_junctions: int | None = None
-    include_measurement: bool = True
     label: str = "mesh_junction"
 
     def compile(self, code: CSSCode,
@@ -102,11 +101,10 @@ class MeshJunctionCompiler(Compiler):
                 cursor += gate_time
                 clock = cursor
 
-        if self.include_measurement:
-            duration = times.measurement()
-            compiled.add(OpKind.MEASUREMENT, clock, duration, (), "mesh",
-                         note="ancilla readout")
-            clock += duration
+        duration = times.measurement()
+        compiled.add(OpKind.MEASUREMENT, clock, duration, (), "mesh",
+                     note="ancilla readout")
+        clock += duration
 
         compiled.metadata["execution_time_us"] = clock
         compiled.metadata["roadblock_wait_us"] = 0.0

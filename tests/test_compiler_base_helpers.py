@@ -57,13 +57,12 @@ class TestShuttleIon:
         target = next(t for t in device.trap_ids()
                       if t != source and device.free_space(t) > 0)
         finish = compiler.shuttle_ion(compiled, device, tracker, ion, source,
-                                      target, 0.0, placement)
+                                      target, 0.0)
         kinds = [op.kind for op in compiled.operations]
         assert OpKind.SWAP in kinds
         assert OpKind.SPLIT in kinds
         assert OpKind.MERGE in kinds
         assert finish >= compiler.times.split + compiler.times.merge
-        assert placement.trap_of(ion) == target
         assert device.ion_location(ion) == target
 
     def test_shuttle_into_full_trap_triggers_rebalance(self):
@@ -73,7 +72,7 @@ class TestShuttleIon:
         target = next(t for t in device.trap_ids()
                       if t != source and device.free_space(t) == 0)
         compiler.shuttle_ion(compiled, device, tracker, ion, source, target,
-                             0.0, placement)
+                             0.0)
         assert compiled.count(OpKind.REBALANCE) >= 1
 
     def test_gate_on_trap_reserves_the_trap(self):
@@ -91,7 +90,7 @@ class TestShuttleIon:
         code = surface_code(3)
         ancillas = [code.num_qubits + s for s in range(code.num_stabilizers)]
         finish = compiler.measure_ancillas(compiled, device, tracker, ancillas,
-                                           placement, 0.0)
+                                           0.0)
         assert compiled.count(OpKind.MEASUREMENT) == code.num_stabilizers
         # Parallel across traps: total time is far below the serial sum.
         assert finish < code.num_stabilizers * compiler.times.measurement()
@@ -110,7 +109,7 @@ class TestRingRouting:
         source, target = traps[0], traps[len(traps) // 2]
         ion = placement.qubits_in(source)[0]
         compiler.shuttle_ion(compiled, device, tracker, ion, source, target,
-                             0.0, placement)
+                             0.0)
         transit_notes = [op.note for op in compiled.operations
                          if op.kind is OpKind.MOVE]
         assert any("transit" in note for note in transit_notes)
@@ -125,12 +124,11 @@ class TestRingRouting:
         tracker = ResourceTracker()
         # Path T0 -> T2 passes through T1 (empty): cheap transit.
         finish_empty = compiler.shuttle_ion(compiled, device, tracker, 0,
-                                            "T0", "T2", 0.0, placement)
+                                            "T0", "T2", 0.0)
         # Now place a blocker in T3 and go T2 -> T4 through it.
         device.place_ion(5, "T3")
-        placement.qubit_to_trap[5] = "T3"
         start = finish_empty
         finish_blocked = compiler.shuttle_ion(compiled, device, tracker, 0,
-                                              "T2", "T4", start, placement)
+                                              "T2", "T4", start)
         assert (finish_blocked - start) > (finish_empty - 0.0)
         del times

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.codes import code_by_name, surface_code, x_then_z_schedule
-from repro.qccd import OperationTimes, OpKind
+from repro.qccd import OperationTimes, OpKind, QCCDDevice
 from repro.qccd.compilers import (
+    Compiler,
     CycloneCompiler,
     DynamicTimesliceCompiler,
     EJFGridCompiler,
@@ -57,10 +58,6 @@ class TestEJFCompiler:
         compiled = EJFGridCompiler().compile(surface5)
         assert compiled.count(OpKind.MEASUREMENT) == surface5.num_stabilizers
 
-    def test_measurement_can_be_skipped(self, surface5):
-        compiled = EJFGridCompiler(include_measurement=False).compile(surface5)
-        assert compiled.count(OpKind.MEASUREMENT) == 0
-
     def test_metadata_records_spatial_figures(self, surface5):
         compiled = EJFGridCompiler().compile(surface5)
         assert compiled.metadata["num_traps"] == 25
@@ -95,13 +92,6 @@ class TestDynamicCompiler:
         compiled = DynamicTimesliceCompiler().compile(surface5)
         assert compiled.gate_count() == surface5.total_cnot_count
 
-    def test_balanced_placement_flag(self, surface5):
-        balanced = DynamicTimesliceCompiler(balanced_placement=True)
-        clustered = DynamicTimesliceCompiler(balanced_placement=False)
-        time_balanced = balanced.compile(surface5).execution_time_us
-        time_clustered = clustered.compile(surface5).execution_time_us
-        assert time_balanced > 0 and time_clustered > 0
-
     def test_timeslice_barriers_monotone(self, surface5):
         compiled = DynamicTimesliceCompiler().compile(surface5)
         gate_ops = [op for op in compiled.operations if op.kind is OpKind.GATE]
@@ -113,6 +103,27 @@ class TestVariantCompilers:
     def test_shuttle_minimizing_covers_all_gates(self, surface5):
         compiled = ShuttleMinimizingCompiler().compile(surface5)
         assert compiled.gate_count() == surface5.total_cnot_count
+
+    def test_shuttle_minimizing_searches_one_path_per_shuttle(
+            self, bb72, monkeypatch):
+        # Either ion of a gate travels the same path on the undirected
+        # device graph, so choosing which one moves needs no search of
+        # its own: the only path search is the shuttle's.
+        calls = {"shortest_path": 0, "shuttle_ion": 0}
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(QCCDDevice, "shortest_path")
+        counted(Compiler, "shuttle_ion")
+        ShuttleMinimizingCompiler().compile(bb72)
+        assert calls["shuttle_ion"] > 0
+        assert calls["shortest_path"] == calls["shuttle_ion"]
 
     def test_move_batching_covers_all_gates(self, surface5):
         compiled = MoveBatchingCompiler().compile(surface5)
