@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro.campaign import (
     CampaignSpec,
     JoinedCampaign,
+    Lease,
     LeaseLost,
     LeaseManager,
     ResultStore,
@@ -776,6 +777,106 @@ class TestMergeVerifyRepair:
         reloaded = ResultStore(path)
         assert reloaded.skipped_lines == 0
         assert "a" in reloaded and reloaded.lease_for("a") is not None
+
+    def test_every_line_kind_and_lease_outcome_pinned(self, tmp_path):
+        """One store with every line kind and every lease-fold outcome:
+        each tool's full report is pinned verbatim, so a change to how
+        any reader frames, classifies or folds a line shows here."""
+
+        def lease(rtype, key, worker, epoch, ts, **extra):
+            return {"type": rtype, "key": key, "worker": worker,
+                    "epoch": epoch, "ts": ts, "version": 1, **extra}
+
+        lines = [
+            {"key": "r1", "version": 1, "failures": 1, "shots": 10},
+            {"key": "r2", "version": 1, "partial": True, "failures": 0,
+             "shots": 5, "stages": [{"stage": 0}]},
+            {"key": "r1", "version": 1, "failures": 2, "shots": 20,
+             "epoch": 1},
+            "",                                             # line 4
+            "not json at all",
+            {"key": 7},
+            {"key": "f", "version": 99, "failures": 0, "shots": 1},
+            lease("claim", "m", "a", 0, 0.0, ttl="soon"),   # line 8
+            lease("claim", "k1", "a", 0, 0.0, ttl=10.0),    # claimed
+            lease("claim", "k1", "b", 0, 0.0, ttl=10.0),    # lost race
+            lease("renew", "k1", "a", 0, 5.0),              # renewed
+            lease("claim", "k1", "b", 1, 6.0, ttl=10.0),    # overlap
+            lease("claim", "k1", "c", 0, 7.0, ttl=10.0),    # lower epoch
+            lease("release", "k1", "b", 1, 8.0),            # released
+            lease("renew", "k1", "b", 1, 9.0),              # stale
+            lease("claim", "k1", "c", 1, 30.0, ttl=10.0),   # line 16
+            {"type": "claim", "key": "x", "version": 99},
+            lease("claim", "k2", "a", 0, 0.0, ttl=5.0),
+            lease("claim", "k2", "b", 1, 20.0, ttl=5.0),    # expiry reclaim
+            lease("renew", "k2", "a", 0, 21.0),             # unmatched
+            lease("release", "k3", "a", 0, 22.0),           # unmatched
+            lease("abandon", "k2", "c", 1, 23.0),           # unmatched
+            lease("abandon", "k2", "b", 1, 24.0),           # line 23
+        ]
+        path = tmp_path / "s.jsonl"
+        path.write_text(
+            "".join((line if isinstance(line, str)
+                     else json.dumps(line, sort_keys=True)) + "\n"
+                    for line in lines)
+            + '{"key": "t", "fail')                         # line 24
+
+        report = verify_store(path)
+        assert report["problems"] == [
+            "line 5: unparseable JSON in the interior of the file",
+            "line 6: record without a string 'key'",
+            "line 8: malformed lease record (claim)",
+            "line 12: overlapping live leases on k1...: claim at epoch 1 "
+            "while epoch 0 (worker a) was neither released nor expired",
+            "line 20: renew on k2... by a at epoch 0 without a matching "
+            "claim",
+            "line 21: release on k3... by a at epoch 0 without a matching "
+            "claim",
+            "line 22: abandon on k2... by c at epoch 1 without a matching "
+            "claim",
+        ]
+        assert report["info"] == [
+            "line 7: foreign store version 99 (ignored on load)",
+            "line 10: claim on k1... lost the race at epoch 0 (file order)",
+            "line 13: claim on k1... lost the race at epoch 0 (file order)",
+            "line 15: renew on k1... after release (stale heartbeat; "
+            "ignored on load)",
+            "line 17: foreign store version 99 (ignored on load)",
+            "line 24: torn tail (crash mid-append; skipped on load, "
+            "repair removes it)",
+        ]
+        assert (report["ok"], report["records"], report["leases"]) == (
+            False, 3, 15)
+
+        store = ResultStore(path)
+        assert store.skipped_lines == 6
+        records = [
+            {"epoch": 1, "failures": 2, "key": "r1", "shots": 20,
+             "version": 1},
+            {"failures": 0, "key": "r2", "partial": True, "shots": 5,
+             "stages": [{"stage": 0}], "version": 1},
+        ]
+        leases = {
+            "k1": Lease(key="k1", worker="c", epoch=1, ttl=10.0,
+                        acquired_at=30.0, renewed_at=30.0),
+            "k2": Lease(key="k2", worker="b", epoch=1, ttl=5.0,
+                        acquired_at=20.0, renewed_at=20.0, released=True,
+                        abandoned=True),
+        }
+        assert store.records() == records
+        assert store.leases() == leases
+
+        merged = merge_stores([path], tmp_path / "m.jsonl")
+        assert (merged["records_read"], merged["records_written"],
+                merged["lines_skipped"], merged["conflicts"]) == (
+                    3, 2, 5, [])
+
+        repaired = repair_store(path)
+        assert (repaired["kept"], repaired["dropped"]) == (19, 4)
+        reloaded = ResultStore(path)
+        assert reloaded.skipped_lines == 2  # the two foreign versions
+        assert reloaded.records() == records
+        assert reloaded.leases() == leases
 
 
 # ----------------------------------------------------------------------
