@@ -44,13 +44,14 @@ from pathlib import Path
 from secrets import token_hex
 
 from repro.campaign.store import (
-    LEASE_TYPES,
-    STORE_VERSION,
+    DAMAGED_KINDS,
     Lease,
     ResultStore,
+    _classify,
     _epoch_of,
+    _fold_lease,
     _parse_lease,
-    _well_formed,
+    _split_lines,
 )
 from repro.parallel.faults import InjectedFault, active_plan
 
@@ -280,31 +281,20 @@ def _canonical(record: dict) -> str:
 
 
 def _result_records(path: Path) -> tuple[list[dict], int]:
-    """All well-formed result records in ``path`` (file order), plus a
-    count of skipped lines (torn/corrupt/foreign-version/lease)."""
+    """All result records in ``path`` (file order), plus a count of the
+    lines skipped: corrupt, keyless and foreign-version lines and a
+    torn tail.  Lease events, malformed or not, never survive a merge
+    and are not counted."""
+    raw = path.read_bytes() if path.exists() else b""
+    lines, tail = _split_lines(raw)
     records: list[dict] = []
-    skipped = 0
-    if not path.exists():
-        return records, skipped
-    raw = path.read_bytes()
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
+    skipped = 1 if tail else 0
     for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        kind, record = _classify(line)
+        if kind == "result":
+            records.append(record)
+        elif kind in ("corrupt", "keyless", "foreign"):
             skipped += 1
-            continue
-        if not _well_formed(record) or record.get("version") != STORE_VERSION:
-            skipped += 1
-            continue
-        if record.get("type") in LEASE_TYPES:
-            continue  # lease events never survive a merge
-        records.append(record)
     return records, skipped
 
 
@@ -413,20 +403,22 @@ def verify_store(path: "str | Path") -> dict:
 
     Flags (``problems`` — corruption worth exit 1):
 
-    * unparseable interior lines (not a torn tail — those are expected
-      after a crash and merely reported in ``info``);
-    * a torn (newline-less) final line;
-    * a record that is not a JSON object with a string ``key``;
+    * the damaged lines (:data:`~repro.campaign.store.DAMAGED_KINDS`):
+      unparseable lines, records that are not a JSON object with a
+      string ``key``, and malformed lease events;
     * lease-log violations: a ``renew``/``release``/``abandon`` with no
       matching claim at that (worker, epoch), and two *overlapping
       live* claims for one key — a claim at a new epoch appended while
       the previous lease was neither released nor expired by its own
       timestamps (clock skew or a broken reclaim).
 
-    ``info`` collects benign oddities: foreign-version records, lost
-    duplicate-claim races (same key+epoch, later in file — exactly
-    what an injected duplicate-claim race leaves behind).  Returns a
-    report dict; ``ok`` is ``False`` iff ``problems`` is non-empty."""
+    ``info`` collects benign oddities: a torn tail (the bytes after the
+    last newline — crash residue, never counted as a record, even when
+    they parse), foreign-version records, lost claim races (a claim
+    below the current epoch, or at it later in file — exactly what an
+    injected duplicate-claim race leaves behind) and renews after
+    release.  Returns a report dict; ``ok`` is ``False`` iff
+    ``problems`` is non-empty."""
     path = Path(path)
     problems: list[str] = []
     info: list[str] = []
@@ -434,84 +426,50 @@ def verify_store(path: "str | Path") -> dict:
         return {"path": str(path), "ok": False,
                 "problems": [f"{path}: no such file"], "info": [],
                 "records": 0, "leases": 0}
-    raw = path.read_bytes()
-    torn = bool(raw) and not raw.endswith(b"\n")
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
     n_results = 0
     n_leases = 0
     leases: dict[str, Lease] = {}
+    lines, tail = _split_lines(path.read_bytes())
     for index, line in enumerate(lines, start=1):
-        last = index == len(lines)
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            if last and torn:
-                info.append(f"line {index}: torn tail (crash mid-append; "
-                            "skipped on load, repair removes it)")
-            else:
-                problems.append(f"line {index}: unparseable JSON in the "
-                                "interior of the file")
-            continue
-        if not _well_formed(record):
+        kind, record = _classify(line)
+        if kind == "corrupt":
+            problems.append(f"line {index}: unparseable JSON in the "
+                            "interior of the file")
+        elif kind == "keyless":
             problems.append(f"line {index}: record without a string 'key'")
-            continue
-        if record.get("version") != STORE_VERSION:
+        elif kind == "foreign":
             info.append(f"line {index}: foreign store version "
                         f"{record.get('version')!r} (ignored on load)")
-            continue
-        rtype = record.get("type")
-        if rtype not in LEASE_TYPES:
+        elif kind == "result":
             n_results += 1
-            continue
-        n_leases += 1
-        fields = _parse_lease(record)
-        if fields is None:
+        elif kind == "malformed lease":
+            n_leases += 1
             problems.append(f"line {index}: malformed lease record "
-                            f"({rtype})")
-            continue
-        key, worker, epoch, ts, ttl = fields
-        current = leases.get(key)
-        if rtype == "claim":
-            if current is None or epoch > current.epoch:
-                if (current is not None and not current.released
-                        and ts < current.renewed_at + current.ttl):
-                    problems.append(
-                        f"line {index}: overlapping live leases on "
-                        f"{key[:16]}...: claim at epoch {epoch} while "
-                        f"epoch {current.epoch} (worker {current.worker}) "
-                        f"was neither released nor expired")
-                leases[key] = Lease(key=key, worker=worker, epoch=epoch,
-                                    ttl=ttl, acquired_at=ts, renewed_at=ts)
-            elif epoch == current.epoch and current.released:
-                leases[key] = Lease(key=key, worker=worker, epoch=epoch,
-                                    ttl=ttl, acquired_at=ts, renewed_at=ts)
-            else:
+                            f"({record['type']})")
+        elif kind == "lease":
+            n_leases += 1
+            key, worker, epoch, _, _ = _parse_lease(record)
+            previous = leases.get(key)
+            outcome = _fold_lease(leases, record)
+            if outcome == "overlap":
+                problems.append(
+                    f"line {index}: overlapping live leases on "
+                    f"{key[:16]}...: claim at epoch {epoch} while "
+                    f"epoch {previous.epoch} (worker {previous.worker}) "
+                    f"was neither released nor expired")
+            elif outcome == "lost":
                 info.append(f"line {index}: claim on {key[:16]}... lost "
                             f"the race at epoch {epoch} (file order)")
-        elif rtype == "renew":
-            if (current is None or current.worker != worker
-                    or current.epoch != epoch):
-                problems.append(
-                    f"line {index}: renew on {key[:16]}... by {worker} at "
-                    f"epoch {epoch} without a matching claim")
-            elif current.released:
+            elif outcome == "stale":
                 info.append(f"line {index}: renew on {key[:16]}... after "
                             "release (stale heartbeat; ignored on load)")
-            else:
-                current.renewed_at = max(current.renewed_at, ts)
-        else:  # release / abandon
-            if (current is None or current.worker != worker
-                    or current.epoch != epoch):
+            elif outcome == "unmatched":
                 problems.append(
-                    f"line {index}: {rtype} on {key[:16]}... by {worker} "
-                    f"at epoch {epoch} without a matching claim")
-            else:
-                current.released = True
+                    f"line {index}: {record['type']} on {key[:16]}... by "
+                    f"{worker} at epoch {epoch} without a matching claim")
+    if tail:
+        info.append(f"line {len(lines) + 1}: torn tail (crash mid-append; "
+                    "skipped on load, repair removes it)")
     return {
         "path": str(path),
         "ok": not problems,
@@ -525,37 +483,25 @@ def verify_store(path: "str | Path") -> dict:
 def repair_store(path: "str | Path") -> dict:
     """Rewrite the store keeping only healthy lines.
 
-    Drops exactly the lines :func:`verify_store` calls corrupt — torn
-    or unparseable lines, records without a string ``key`` and
-    malformed lease events — all of which :class:`ResultStore` already
-    skips, so the folded state is unchanged.  Every other line is kept:
-    results *and* lease events (epoch folding needs the full lease
-    history), foreign versions too.  Atomic: written to a sibling temp
-    file and ``os.replace``d in.  Returns ``{"kept", "dropped"}``."""
+    Drops the torn tail and every line :func:`verify_store` calls
+    damaged (:data:`~repro.campaign.store.DAMAGED_KINDS`) — all of
+    which :class:`ResultStore` already skips, so the folded state is
+    unchanged — and blank lines, which count as neither.  Every other
+    line is kept: results *and* lease events (epoch folding needs the
+    full lease history), foreign versions too.  Atomic: written to a
+    sibling temp file and ``os.replace``d in.  Returns
+    ``{"path", "kept", "dropped"}``."""
     path = Path(path)
-    raw = path.read_bytes() if path.exists() else b""
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
+    lines, tail = _split_lines(path.read_bytes() if path.exists() else b"")
     kept: list[bytes] = []
-    dropped = 0
+    dropped = 1 if tail else 0
     for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        kind, _ = _classify(line)
+        if kind in DAMAGED_KINDS:
             dropped += 1
-            continue
-        if (not _well_formed(record)
-                or (record.get("version") == STORE_VERSION
-                    and record.get("type") in LEASE_TYPES
-                    and _parse_lease(record) is None)):
-            dropped += 1
-            continue
-        kept.append(stripped)
+        elif kind != "blank":
+            kept.append(line + b"\n")
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"\n".join(kept) + (b"\n" if kept else b""))
+    tmp.write_bytes(b"".join(kept))
     os.replace(tmp, path)
     return {"path": str(path), "kept": len(kept), "dropped": dropped}

@@ -18,14 +18,19 @@ consequences:
   campaign fingerprint embedded in every key, so old records simply
   stop matching; the file is append-only and never rewritten.
 
-The format is deliberately tolerant of interruption: a truncated final
-line (the process died mid-append) is skipped on load and counted in
-:attr:`ResultStore.skipped_lines`, never an error.  Appends are
-crash-safe: each record is serialised to a single buffer and written
-with one ``write`` + flush, so a crash tears at most the final line —
-it never interleaves two records.  ``REPRO_STORE_FSYNC=1`` adds an
-``os.fsync`` per append for callers who need the record durable
-against power loss, not just process death.
+The format is deliberately tolerant of interruption: the bytes after
+the last newline (the process died mid-append) are a torn tail, never a
+record even when they parse, skipped on load and counted in
+:attr:`ResultStore.skipped_lines`, never an error.  Every reader of the
+file (load, ``repro store merge``, ``verify`` and ``repair``) frames,
+classifies and folds it through the same three functions:
+:func:`_split_lines`, :func:`_classify` and :func:`_fold_lease`.
+Appends are crash-safe: each record is serialised to a single buffer
+and written with one ``write`` + flush, so a crash tears at most the
+final line — it never interleaves two records.
+``REPRO_STORE_FSYNC=1`` adds an ``os.fsync`` per append for callers
+who need the record durable against power loss, not just process
+death.
 
 Multi-writer coordination
 -------------------------
@@ -68,6 +73,11 @@ STORE_VERSION = 1
 #: Record ``type`` values that are lease events, not results.
 LEASE_TYPES = ("claim", "renew", "release", "abandon")
 
+#: The :func:`_classify` kinds of a damaged line: :class:`ResultStore`
+#: skips them, ``repro store verify`` reports them and
+#: ``repro store repair`` drops them.
+DAMAGED_KINDS = ("corrupt", "keyless", "malformed lease")
+
 
 def fingerprint(payload: dict) -> str:
     """Stable content fingerprint of a JSON-serialisable payload.
@@ -105,28 +115,12 @@ class Lease:
         return not self.released and now < self.renewed_at + self.ttl
 
 
-def _well_formed(record: object) -> bool:
-    """Whether a parsed line is a store record at all: a JSON object
-    whose ``key`` is a string.
-
-    Every reader applies this one test: :class:`ResultStore` skips any
-    other line and counts it in ``skipped_lines``, ``repro store merge``
-    skips it, ``repro store verify`` reports it as a problem and
-    ``repro store repair`` drops it.
-    """
-    return isinstance(record, dict) and isinstance(record.get("key"), str)
-
-
 def _parse_lease(record: dict
                  ) -> "tuple[str, str, int, float, float] | None":
     """A well-formed lease event's ``(key, worker, epoch, ts, ttl)``,
-    or ``None``.
-
-    ``None`` means the event is malformed — a field is missing or does
-    not parse — and every reader treats it alike: :class:`ResultStore`
-    skips the line, ``repro store verify`` reports it and
-    ``repro store repair`` drops it.  ``ttl`` is a claim's (default 0);
-    other events report 0.
+    or ``None`` when a field is missing or does not parse (which
+    :func:`_classify` calls a ``"malformed lease"``).  ``ttl`` is a
+    claim's (default 0); other events report 0.
     """
     try:
         worker = str(record["worker"])
@@ -137,6 +131,84 @@ def _parse_lease(record: dict
     except (KeyError, TypeError, ValueError):
         return None
     return record["key"], worker, epoch, ts, ttl
+
+
+def _split_lines(chunk: bytes) -> "tuple[list[bytes], bytes]":
+    """Frame store bytes into ``(complete_lines, torn_tail)``, stripped.
+
+    The one framing rule every reader shares: a line exists once its
+    newline is on disk.  The bytes after the last newline are a torn
+    tail (a writer died, or is still writing, mid-append) and never a
+    record, whatever they hold; a blank tail comes back as ``b""``.
+    """
+    *lines, tail = chunk.split(b"\n")
+    return [line.strip() for line in lines], tail.strip()
+
+
+def _classify(line: bytes) -> "tuple[str, object]":
+    """One verdict per complete line: ``(kind, record)``.
+
+    ``kind`` is ``"blank"``, ``"corrupt"`` (not JSON), ``"keyless"``
+    (not an object with a string ``key``), ``"foreign"`` (another
+    :data:`STORE_VERSION`), ``"malformed lease"`` (:func:`_parse_lease`
+    fails), ``"lease"`` or ``"result"``; ``record`` is the parsed JSON
+    (``None`` for blank and corrupt lines).
+    """
+    if not line:
+        return "blank", None
+    try:
+        record = json.loads(line)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return "corrupt", None
+    if not isinstance(record, dict) or not isinstance(record.get("key"), str):
+        return "keyless", record
+    if record.get("version") != STORE_VERSION:
+        return "foreign", record
+    if record.get("type") not in LEASE_TYPES:
+        return "result", record
+    if _parse_lease(record) is None:
+        return "malformed lease", record
+    return "lease", record
+
+
+def _fold_lease(leases: "dict[str, Lease]", record: dict) -> str:
+    """Apply one ``"lease"`` line to ``leases`` in file order; return
+    what it did.
+
+    ``"claimed"``; ``"overlap"`` (claimed over a lease that was neither
+    released nor expired by its own timestamps); ``"lost"`` (a claim
+    below the current epoch, or at it while that lease is unreleased);
+    ``"renewed"``; ``"stale"`` (a renew after release); ``"released"``
+    (release or abandon); ``"unmatched"`` (a renew, release or abandon
+    whose worker and epoch are not the current lease's).
+    """
+    key, worker, epoch, ts, ttl = _parse_lease(record)
+    rtype = record["type"]
+    current = leases.get(key)
+    if rtype == "claim":
+        # First claim in file order wins at a given epoch; a higher
+        # epoch (reclaim after expiry) always supersedes.
+        if current is not None and (
+                epoch < current.epoch
+                or (epoch == current.epoch and not current.released)):
+            return "lost"
+        leases[key] = Lease(key=key, worker=worker, epoch=epoch, ttl=ttl,
+                            acquired_at=ts, renewed_at=ts)
+        if current is not None and current.live(ts):
+            return "overlap"
+        return "claimed"
+    # Only the current owner at the current epoch can extend liveness
+    # or let go; stale heartbeats from usurped workers are inert.
+    if current is None or current.worker != worker or current.epoch != epoch:
+        return "unmatched"
+    if rtype == "renew":
+        if current.released:
+            return "stale"
+        current.renewed_at = max(current.renewed_at, ts)
+        return "renewed"
+    current.released = True
+    current.abandoned = rtype == "abandon"
+    return "released"
 
 
 def _epoch_of(record: dict) -> int:
@@ -225,37 +297,25 @@ class ResultStore:
             # counted once as a (corrupt) complete line, not twice.
             self.skipped_lines -= 1
             self._frag_counted = False
-        lines = chunk.split(b"\n")
-        fragment = lines.pop()  # b"" when the chunk ends in a newline
-        self._offset += len(chunk) - len(fragment)
+        lines, tail = _split_lines(chunk)
+        self._offset += chunk.rfind(b"\n") + 1
         applied = 0
-        for raw in lines:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                # Interrupted append: the line never finished.
-                self.skipped_lines += 1
-                continue
-            if self._apply(record):
+        for line in lines:
+            kind, record = _classify(line)
+            if kind == "result":
+                self._install(record)
                 applied += 1
-        if fragment.strip():
+            elif kind == "lease":
+                _fold_lease(self._leases, record)
+                applied += 1
+            elif kind != "blank":  # damaged, or another store version
+                self.skipped_lines += 1
+        if tail:
             # A torn tail (some writer died mid-append).  Count it now;
             # re-counted correctly if more bytes ever complete it.
             self.skipped_lines += 1
             self._frag_counted = True
         return applied
-
-    def _apply(self, record: object) -> bool:
-        if not _well_formed(record) or record.get("version") != STORE_VERSION:
-            self.skipped_lines += 1
-            return False
-        if record.get("type") in LEASE_TYPES:
-            return self._apply_lease(record)
-        self._install(record)
-        return True
 
     def _install(self, record: dict) -> None:
         # Epoch-aware last-wins: equal epochs keep file-order
@@ -267,36 +327,6 @@ class ResultStore:
             final = self._finals.get(record["key"])
             if final is None or _epoch_of(record) >= _epoch_of(final):
                 self._finals[record["key"]] = record
-
-    def _apply_lease(self, record: dict) -> bool:
-        fields = _parse_lease(record)
-        if fields is None:
-            self.skipped_lines += 1
-            return False
-        key, worker, epoch, ts, ttl = fields
-        rtype = record["type"]
-        current = self._leases.get(key)
-        if rtype == "claim":
-            # First claim in file order wins at a given epoch; a
-            # higher epoch (reclaim after expiry) always supersedes.
-            if (current is None or epoch > current.epoch
-                    or (epoch == current.epoch and current.released)):
-                self._leases[key] = Lease(key=key, worker=worker,
-                                          epoch=epoch, ttl=ttl,
-                                          acquired_at=ts, renewed_at=ts)
-        elif rtype == "renew":
-            # Only the current owner at the current epoch can extend
-            # liveness; stale heartbeats from usurped workers are inert.
-            if (current is not None and not current.released
-                    and current.worker == worker
-                    and current.epoch == epoch):
-                current.renewed_at = max(current.renewed_at, ts)
-        else:  # release / abandon
-            if (current is not None and current.worker == worker
-                    and current.epoch == epoch):
-                current.released = True
-                current.abandoned = rtype == "abandon"
-        return True
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> dict | None:

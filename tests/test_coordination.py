@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import (
@@ -657,6 +657,47 @@ class TestJoinedCampaign:
 
 
 # ----------------------------------------------------------------------
+STORE_KEYS = ("a", "b", "c")
+
+
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True)
+
+
+_RESULT_LINES = st.builds(
+    lambda key, partial, epoch: _json_line({
+        "key": key, "version": 1, "failures": 1, "shots": 10,
+        **({"partial": True} if partial else {}),
+        **({} if epoch is None else {"epoch": epoch})}),
+    st.sampled_from(STORE_KEYS), st.booleans(),
+    st.none() | st.integers(0, 2))
+_LEASE_LINES = st.builds(
+    lambda rtype, key, worker, epoch, ts: _json_line({
+        "type": rtype, "key": key, "worker": worker, "epoch": epoch,
+        "ts": ts, "version": 1,
+        **({"ttl": 10.0} if rtype == "claim" else {})}),
+    st.sampled_from(("claim", "renew", "release", "abandon")),
+    st.sampled_from(STORE_KEYS), st.sampled_from(("w1", "w2")),
+    st.integers(0, 2), st.integers(0, 30))
+#: One store line of any kind: results, lease events, claims missing
+#: ``ts``, keyless records, foreign versions, garbage and blanks.
+STORE_LINES = st.one_of(
+    _RESULT_LINES,
+    _LEASE_LINES,
+    st.builds(lambda key: _json_line({
+        "type": "claim", "key": key, "worker": "w1", "epoch": 0,
+        "ttl": 10.0, "version": 1}), st.sampled_from(STORE_KEYS)),
+    st.sampled_from(['{"key": 7}', '{"failures": 0}', "[1, 2]"]),
+    st.builds(lambda key: _json_line({
+        "key": key, "version": 99, "failures": 0, "shots": 1}),
+        st.sampled_from(STORE_KEYS)),
+    st.sampled_from(["not json at all", '{"key": "a", "fail', "", "  "]),
+)
+#: A complete result record that lacks only its newline.
+COMPLETE_TAIL = _json_line({"key": "t", "version": 1, "failures": 0,
+                            "shots": 5})
+
+
 class TestMergeVerifyRepair:
     def test_merge_prefers_final_over_partial(self, tmp_path):
         a = ResultStore(tmp_path / "a.jsonl")
@@ -877,6 +918,41 @@ class TestMergeVerifyRepair:
         assert reloaded.skipped_lines == 2  # the two foreign versions
         assert reloaded.records() == records
         assert reloaded.leases() == leases
+
+    @given(lines=st.lists(STORE_LINES, max_size=12),
+           tail=st.sampled_from(["", '{"key": "t", "fail', COMPLETE_TAIL]))
+    @settings(max_examples=100, deadline=None)
+    @example(lines=[], tail=COMPLETE_TAIL)
+    def test_every_reader_sees_what_load_sees(self, tmp_path_factory,
+                                              lines, tail):
+        """Load, merge, verify and repair frame and classify a store
+        alike: the bytes after the last newline are a torn tail for
+        all four, even a complete record that lacks only its newline,
+        and repair changes nothing the loader folds."""
+        base = tmp_path_factory.mktemp("readers")
+        path = base / "s.jsonl"
+        path.write_text("".join(line + "\n" for line in lines) + tail)
+        notes = verify_store(path)["info"]
+        assert any("torn tail" in note for note in notes) == bool(tail)
+
+        before = ResultStore(path)
+        merge_stores([path], base / "m.jsonl")
+        merged = {json.loads(line)["key"]
+                  for line in (base / "m.jsonl").read_text().splitlines()}
+        assert merged == {record["key"] for record in before.records()}
+
+        repair_store(path)
+        after = ResultStore(path)
+        assert after.records() == before.records()
+        assert after.leases() == before.leases()
+        for key in (*STORE_KEYS, "t"):
+            assert after.final_for(key) == before.final_for(key)
+        report = verify_store(path)
+        assert not [problem for problem in report["problems"]
+                    if "unparseable" in problem
+                    or "without a string 'key'" in problem
+                    or "malformed lease" in problem]
+        assert not [note for note in report["info"] if "torn tail" in note]
 
 
 # ----------------------------------------------------------------------
