@@ -140,9 +140,8 @@ class LeaseManager:
     def claimable(self, key: str, now: float | None = None) -> bool:
         """Whether ``key`` is up for grabs as of the last refresh."""
         lease = self.store.lease_for(key)
-        if lease is None or lease.released:
-            return True
-        return not lease.live(self.clock() if now is None else now)
+        return lease is None or not lease.live(
+            self.clock() if now is None else now)
 
     def claim(self, keys: list[str]) -> list[str]:
         """Try to claim ``keys``; return those actually won.
@@ -157,7 +156,7 @@ class LeaseManager:
         for key in keys:
             now = self.clock()
             lease = self.store.lease_for(key)
-            if lease is not None and not lease.released and lease.live(now):
+            if lease is not None and lease.live(now):
                 continue  # live with someone else (or already ours)
             epoch = lease.epoch + 1 if lease is not None else 0
             if lease is not None and not lease.released:
@@ -191,9 +190,7 @@ class LeaseManager:
         self.store.refresh()
         won = []
         for key, epoch in attempted:
-            lease = self.store.lease_for(key)
-            if (lease is not None and lease.worker == str(self.worker)
-                    and lease.epoch == epoch and not lease.released):
+            if self._owns(key, epoch):
                 self.held[key] = epoch
                 won.append(key)
         if won:
