@@ -255,6 +255,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def _load(self) -> None:
         self._records.clear()
+        self._finals.clear()
         self._leases.clear()
         self.skipped_lines = 0
         self._offset = 0

@@ -175,6 +175,20 @@ class TestResultStore:
         assert reloaded.get("a")["shots"] == 20
         assert "b" in reloaded and "c" not in reloaded
 
+    def test_reload_forgets_vanished_finals(self, tmp_path):
+        """A refresh of a file that shrank reloads it from scratch, so
+        ``final_for`` forgets a vanished final just as ``get`` does."""
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        store.append({"key": "a", "failures": 1, "shots": 10})
+        store.refresh()
+        assert store.final_for("a")["shots"] == 10
+        path.write_text("")
+        store.refresh()
+        assert store.get("a") is None
+        assert store.final_for("a") is None
+        assert len(store) == 0
+
     def test_truncated_tail_is_skipped(self, tmp_path):
         store = ResultStore(tmp_path / "s.jsonl")
         store.append({"key": "a", "failures": 1, "shots": 10})
