@@ -10,10 +10,15 @@ The two properties the ISSUE pins down are here as hypothesis tests:
 * **store-resumed results are bit-identical to a cold run** — for
   arbitrary campaign seeds, a second run against the store re-samples
   zero shots and renders byte-identical tables.
+
+A ``stop`` callback that fires at any one of a run's polls, plain or
+joined, leaves a store that verifies and resumes to the uninterrupted
+run's tables.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -21,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import (
+    CampaignInterrupted,
     CampaignSpec,
     ResultStore,
     SweepSpec,
@@ -29,6 +35,7 @@ from repro.campaign import (
     fingerprint,
     load_spec,
     run_campaign,
+    verify_store,
 )
 from repro.cli import main
 from repro.core.results import PRECISION_COLUMNS
@@ -284,6 +291,40 @@ class TestAllocationDegeneracy:
 
 # ----------------------------------------------------------------------
 # End-to-end campaign runs.
+
+class TestStopPolls:
+    """``stop`` is polled before each pilot, before each refine round,
+    before each refine stage and after the loop (and, joined, before
+    each claim).  A stop at any one of those polls must leave a store
+    that verifies and resumes to the uninterrupted run's tables."""
+
+    @pytest.mark.parametrize("join", [False, True], ids=["plain", "joined"])
+    def test_every_poll_interrupts_resumably(self, tmp_path, join):
+        spec = tiny_spec(sweeps=2)
+        polls = []
+
+        def counting_stop():
+            polls.append(None)
+            return False
+
+        reference = run_campaign(spec, store=str(tmp_path / "ref.jsonl"),
+                                 stop=counting_stop, join=join)
+        expected = [table.to_json() for table in reference.tables]
+        assert polls
+        for k in range(1, len(polls) + 1):
+            store = tmp_path / f"stopped-{k}.jsonl"
+            store.touch()
+            calls = itertools.count(1)
+            with pytest.raises(CampaignInterrupted):
+                run_campaign(spec, store=str(store), join=join,
+                             stop=lambda: next(calls) >= k)
+            assert verify_store(store)["ok"], k
+            resumed = run_campaign(spec, store=str(store), join=join)
+            assert [table.to_json() for table in resumed.tables] == \
+                expected, k
+            if not join:
+                assert run_campaign(spec, store=str(store)).shots_sampled \
+                    == 0, k
 
 class TestCampaignRun:
     def test_cold_run_shape_and_budget(self, tmp_path):
