@@ -1,10 +1,9 @@
 """The campaign orchestrator: every sweep, one budget, one pool.
 
-A campaign runs the pilot/allocate/refine loop of
-:mod:`repro.core.sweep` **across sweeps**: every curve point of every
-sweep joins a single pool of :class:`~repro.core.sweep.AdaptivePoint`
-entries, and the global shot budget flows to whichever points — in
-whichever sweeps — still need confidence width.
+A campaign runs one pilot/allocate/refine schedule
+(:func:`_pilot_and_refine`) **across sweeps**: every curve point of
+every sweep joins a single pool, and the global shot budget flows to
+whichever points — in whichever sweeps — still need confidence width.
 
 This module is the only code that samples a point.  The standalone
 sweeps (:func:`~repro.campaign.kinds.run_sweep_kind`,
@@ -73,18 +72,20 @@ from repro.codes.css import CSSCode
 from repro.core.memory import MemoryExperiment, effective_rounds
 from repro.core.results import PRECISION_COLUMNS, ResultTable
 from repro.core.stats import PrecisionTarget
-from repro.core.sweep import (
-    AdaptivePoint,
-    default_pilot_shots,
-    run_adaptive_refine,
-    tally_point_fields,
-)
+from repro.core.sweep import allocate_shots, tally_point_fields
 from repro.parallel.faults import active_plan
 from repro.parallel.pipeline import SharedPool
 from repro.parallel.sharded import resolve_workers
 
 __all__ = ["CampaignInterrupted", "CampaignResult", "JoinedCampaign",
            "run_campaign"]
+
+#: Hard ceiling on refine rounds — each round spends real budget, so
+#: this only guards against a pathological no-progress loop.
+_MAX_REFINE_ROUNDS = 8
+
+#: Smallest refine allocation worth dispatching (one worthwhile shard).
+_MIN_REFINE_SHOTS = 32
 
 
 class CampaignInterrupted(RuntimeError):
@@ -144,6 +145,18 @@ class _CampaignPoint:
     def fields(self) -> dict:
         return tally_point_fields(self.tally[0], self.tally[1], self.rounds,
                                   self.target, self.cap)
+
+    def settled(self, failures: int, shots: int) -> bool:
+        """Whether a tally of this point is final on merit: target met
+        or cap reached."""
+        return self.target.met(failures, shots) or shots >= self.cap
+
+    def reset(self, failures: int = 0, shots: int = 0) -> None:
+        """Drop this run's sampling of the point: the tally becomes
+        ``(failures, shots)`` and nothing is logged or replayed."""
+        self.tally[:] = [failures, shots]
+        self.stage_log.clear()
+        self.replay = None
 
 
 @dataclass
@@ -230,11 +243,8 @@ class CampaignResult:
 
 def _point_final(point: _CampaignPoint, stored_keys: set[str]) -> bool:
     """Whether a sampled point can no longer change in this run."""
-    if point.reused or point.key in stored_keys:
-        return True
-    failures, shots = point.tally
-    return (point.target.met(failures, shots)
-            or (point.cap > 0 and shots >= point.cap))
+    return (point.reused or point.key in stored_keys
+            or point.settled(*point.tally))
 
 
 def _progress_snapshot(spec: CampaignSpec, points: list[_CampaignPoint],
@@ -313,7 +323,8 @@ def _sweep_points(sweep: SweepSpec, sweep_index: int,
     if sweep.pilot_shots is not None:
         pilot_default = max(1, int(sweep.pilot_shots))
     else:
-        pilot_default = default_pilot_shots(per_point)
+        # A quarter of the per-point budget share, clamped to [32, 512].
+        pilot_default = max(_MIN_REFINE_SHOTS, min(int(per_point) // 4, 512))
     for point_index, expanded in enumerate(expanded_points):
         point_code = expanded.code if expanded.code is not None else code
         rounds = effective_rounds(
@@ -460,13 +471,14 @@ def _build_tables(spec: CampaignSpec,
 class _PointRunner:
     """The per-point stage work shared by plain and joined campaigns.
 
-    Both scheduling loops hand every pilot/refine stage of a point to
-    :meth:`sample`, which serves it from a partial checkpoint when one
-    logged the same allocation, and otherwise samples it on the point's
-    cached experiment, cross-checks it against the oracle (if any),
-    logs it and checkpoints the log.  :meth:`finalize` writes the
-    point's final record.  ``provenance(point)`` adds fields to every
-    record (joined workers stamp the lease ``epoch`` and ``worker``).
+    The schedule (:func:`_pilot_and_refine`) hands every pilot/refine
+    stage of a point to :meth:`sample`, which serves it from a partial
+    checkpoint when one logged the same allocation, and otherwise
+    samples it on the point's cached experiment, cross-checks it
+    against the oracle (if any), logs it and checkpoints the log.
+    :meth:`finalize` writes the point's final record.
+    ``provenance(point)`` adds fields to every record (joined workers
+    stamp the lease ``epoch`` and ``worker``).
 
     ``shots_sampled`` counts fresh Monte-Carlo work, ``shots_replayed``
     stages served from checkpoints.  A context manager: closing it
@@ -638,47 +650,91 @@ class _PointRunner:
         self.store.append(record)
 
 
-def _pilot_and_refine(runner: _PointRunner, points: list[_CampaignPoint],
-                      budget: int, spent: int = 0, stop=None,
-                      interrupt=None, after_pilot=None, after_round=None,
-                      before_round=None) -> None:
-    """Spend ``budget`` on ``points`` (``spent`` of it already gone).
+def _interrupted(message: str) -> None:
+    raise CampaignInterrupted(message)
 
-    Pilot: a streamed taste of every point, in order, within what is
-    left of the budget.  Allocate / refine: the single-sweep engine
-    (:func:`run_adaptive_refine`) over the same points, one level up.
-    ``stop`` is polled before every pilot and after the refine; once it
-    fires, ``interrupt(message)`` must raise.  ``after_pilot(point)``
-    and the refine engine's ``after_round``/``before_round`` hooks let
-    :func:`run_campaign` flush, adopt and report; a standalone sweep
-    passes none of them.
+
+def _replay_log(record: dict) -> dict:
+    """The stage -> log entry map of a partial checkpoint record."""
+    return {int(entry["stage"]): entry for entry in record.get("stages", ())}
+
+
+def _pilot_and_refine(sample, points: list[_CampaignPoint], budget: int,
+                      spent: int = 0, stop=None, interrupt=_interrupted,
+                      after_pilot=None, after_round=None,
+                      before_round=None) -> None:
+    """The pilot/allocate/refine schedule of every campaign point.
+
+    Spends ``budget`` on ``points`` (``spent`` of it already gone);
+    ``sample(point, allocation, prior, stage)`` runs one stage (pilot
+    0, refine round *r* is *r + 1*) with the point's tally so far
+    carried into the stop rule, and its ``(failures, shots)`` add to
+    ``point.tally``.
+
+    1. **Pilot**: a streamed taste of every point, in order, within
+       what is left of the budget.
+    2. **Allocate**: each round splits ``budget - spent`` across the
+       unsettled points by estimated variance (:func:`allocate_shots`,
+       one relative flag per point), floors each share at
+       ``_MIN_REFINE_SHOTS`` for forward progress, then clamps it to
+       the point's remaining cap and the remaining budget.
+    3. **Refine**: the round runs its points in order.  The loop ends
+       when every point is settled, the budget is gone, a round made no
+       progress, or after ``_MAX_REFINE_ROUNDS`` rounds.
+
+    Every decision is a pure function of the tallies, so a re-run
+    reproduces the schedule bit for bit.  ``stop`` is polled before
+    each pilot, before each round, before each refine stage and after
+    the loop; once it fires, ``interrupt(message)`` must raise.
+    ``after_pilot(point)``, ``before_round(round_index)`` and
+    ``after_round(round_index)`` let :func:`run_campaign` flush, adopt
+    and report; ``before_round`` returns shots adopted from other
+    writers, which count as spent.
     """
-    for point in points:
+    def poll(stage: str) -> None:
         if stop is not None and stop():
-            interrupt("campaign interrupted during pilot")
+            interrupt(f"campaign interrupted during {stage}")
+
+    def run(point: _CampaignPoint, allocation: int, stage: int) -> int:
+        failures, used = sample(point, allocation, tuple(point.tally), stage)
+        point.tally[0] += failures
+        point.tally[1] += used
+        return used
+
+    for point in points:
+        poll("pilot")
         allocation = min(point.pilot, point.cap, max(0, budget - spent))
         if allocation > 0:
-            failures, used = runner.sample(point, allocation, (0, 0),
-                                           stage=0)
-            point.tally[0] += failures
-            point.tally[1] += used
-            spent += used
+            spent += run(point, allocation, 0)
         if after_pilot is not None:
             after_pilot(point)
-    adaptive = [
-        AdaptivePoint(
-            target=point.target, cap=point.cap,
-            runner=(lambda allocation, prior, round_index, *,
-                    _point=point: runner.sample(
-                        _point, allocation, prior, stage=round_index + 1)),
-            tally=point.tally,
-        )
-        for point in points
-    ]
-    run_adaptive_refine(adaptive, budget, spent, after_round=after_round,
-                        should_stop=stop, before_round=before_round)
-    if stop is not None and stop():
-        interrupt("campaign interrupted during refine")
+    for round_index in range(_MAX_REFINE_ROUNDS):
+        poll("refine")
+        if before_round is not None:
+            spent += before_round(round_index)
+        unsettled = [point for point in points
+                     if not point.settled(*point.tally)]
+        if not unsettled or spent >= budget:
+            break
+        allocations = allocate_shots(
+            [tuple(point.tally) for point in unsettled], budget - spent,
+            [point.cap - point.tally[1] for point in unsettled],
+            relative=[point.target.relative for point in unsettled])
+        progressed = False
+        for point, allocation in zip(unsettled, allocations):
+            poll("refine")
+            allocation = min(point.cap - point.tally[1],
+                             max(allocation, _MIN_REFINE_SHOTS),
+                             max(0, budget - spent))
+            if allocation > 0:
+                used = run(point, allocation, round_index + 1)
+                spent += used
+                progressed = progressed or used > 0
+        if after_round is not None:
+            after_round(round_index)
+        if not progressed:
+            break
+    poll("refine")
 
 
 class JoinedCampaign:
@@ -755,12 +811,9 @@ class JoinedCampaign:
         self.manager = LeaseManager(store, self.worker, ttl, clock=clock)
         self.shots_forfeited = 0
         self.finalized_by_us: set[str] = set()
-        self.reused_at_start: set[str] = set()
         store.refresh()
-        for point in self.sampled:
-            record = store.get(point.key)
-            if record is not None and not record.get("partial"):
-                self.reused_at_start.add(point.key)
+        self.reused_at_start = {point.key for point in self.sampled
+                                if self._final(point.key) is not None}
         self.runner = _PointRunner(
             spec, store, self.campaign_fp, workers=workers,
             shard_timeout=shard_timeout, max_shard_retries=max_shard_retries,
@@ -777,6 +830,12 @@ class JoinedCampaign:
         self.runner.close()
 
     # ------------------------------------------------------------------
+    def _final(self, key: str) -> dict | None:
+        """The store's winning record for ``key`` if it is final (not a
+        partial checkpoint), else ``None``."""
+        record = self.store.get(key)
+        return None if record is None or record.get("partial") else record
+
     def _sample(self, point: _CampaignPoint, allocation: int,
                 prior: tuple[int, int], stage: int) -> tuple[int, int]:
         # Liveness first: if the lease was usurped (our heartbeats were
@@ -791,40 +850,22 @@ class JoinedCampaign:
         before_sampled = runner.shots_sampled
         before_replayed = runner.shots_replayed
         try:
-            record = self.store.get(point.key)
-            if record is not None and not record.get("partial"):
+            if self._final(point.key) is not None:
                 # Finalised between our scan and our claim winning.
                 self.manager.release(point.key)
                 return "external"
-            point.tally[:] = [0, 0]
-            point.stage_log.clear()
-            point.replay = None
-            if record is not None and record.get("partial"):
+            point.reset()
+            record = self.store.get(point.key)
+            if record is not None:
                 # A dead (or usurped) owner left per-stage checkpoints:
                 # replay them instead of re-sampling — bit-identical,
                 # because stage seeds are pure functions of the spec.
-                point.replay = {int(entry["stage"]): entry
-                                for entry in record.get("stages", ())}
-            allocation = min(point.pilot, point.cap)
-            if allocation > 0:
-                failures, used = self._sample(point, allocation, (0, 0),
-                                              stage=0)
-                point.tally[0] += failures
-                point.tally[1] += used
-            adaptive = [AdaptivePoint(
-                target=point.target, cap=point.cap,
-                runner=(lambda allocation, prior, round_index:
-                        self._sample(point, allocation, prior,
-                                     stage=round_index + 1)),
-                tally=point.tally,
-            )]
-            run_adaptive_refine(adaptive, point.cap, point.tally[1],
-                                should_stop=self.stop)
-            if self.stop is not None and self.stop():
-                # Graceful interrupt mid-point: the stage log is already
-                # checkpointed, so whoever claims next replays it.
-                raise CampaignInterrupted(
-                    "joined campaign interrupted mid-point")
+                point.replay = _replay_log(record)
+            # The partitioned cap is the point's whole budget.  A stop
+            # mid-point leaves its stage log checkpointed, so whoever
+            # claims it next replays the log.
+            _pilot_and_refine(self._sample, [point], point.cap,
+                              stop=self.stop)
             runner.finalize(point)
             self.manager.release(point.key)
             self.finalized_by_us.add(point.key)
@@ -838,9 +879,7 @@ class JoinedCampaign:
             runner.shots_sampled = before_sampled
             runner.shots_replayed = before_replayed
             self.shots_forfeited += forfeited
-            point.tally[:] = [0, 0]
-            point.stage_log.clear()
-            point.replay = None
+            point.reset()
             return "lost"
 
     # ------------------------------------------------------------------
@@ -855,10 +894,8 @@ class JoinedCampaign:
             raise CampaignInterrupted("joined campaign interrupted")
         self.store.refresh()
         pending = [point for point in self.sampled
-                   if point.key not in self.finalized_by_us]
-        pending = [point for point in pending
-                   if (self.store.get(point.key) is None
-                       or self.store.get(point.key).get("partial"))]
+                   if point.key not in self.finalized_by_us
+                   and self._final(point.key) is None]
         if not pending:
             return "complete"
         now = self.clock()
@@ -880,11 +917,8 @@ class JoinedCampaign:
         store count as done whichever worker paid for them."""
         if self.progress is None:
             return
-        stored = set()
-        for point in self.sampled:
-            record = self.store.get(point.key)
-            if record is not None and not record.get("partial"):
-                stored.add(point.key)
+        stored = {point.key for point in self.sampled
+                  if self._final(point.key) is not None}
         self.progress(_progress_snapshot(
             self.spec, self.points, phase, None, self.budget,
             self.runner.shots_sampled, 0, self.runner.shots_replayed, 0,
@@ -920,8 +954,8 @@ class JoinedCampaign:
         shots_reused = 0
         shots_external = 0
         for point in self.sampled:
-            record = self.store.get(point.key)
-            if record is None or record.get("partial"):
+            record = self._final(point.key)
+            if record is None:
                 continue
             if point.key not in self.finalized_by_us:
                 shots = int(record["shots"])
@@ -1065,8 +1099,7 @@ def run_campaign(spec: CampaignSpec,
             # every logged stage is served from the log instead of
             # sampled — bit-identical, because stage seeds are pure
             # functions of the spec.
-            point.replay = {int(entry["stage"]): entry
-                            for entry in record.get("stages", ())}
+            point.replay = _replay_log(record)
             continue
         point.tally = [int(record["failures"]), int(record["shots"])]
         point.reused = True
@@ -1120,12 +1153,9 @@ def run_campaign(spec: CampaignSpec,
                 continue
             failures = int(record["failures"])
             shots = int(record["shots"])
-            if not (point.target.met(failures, shots)
-                    or shots >= point.cap):
+            if not point.settled(failures, shots):
                 continue
-            point.tally[:] = [failures, shots]
-            point.replay = None
-            point.stage_log.clear()
+            point.reset(failures, shots)
             stored_keys.add(point.key)
             if store.get(point.key) is not record:
                 # Our own partial checkpoint shadows the adopted final
@@ -1142,8 +1172,7 @@ def run_campaign(spec: CampaignSpec,
     def flush(point: _CampaignPoint, force: bool = False) -> None:
         if store is None or point.key in stored_keys:
             return
-        if (force or point.tally[1] >= point.cap
-                or point.target.met(point.tally[0], point.tally[1])):
+        if force or point.settled(*point.tally):
             stored_keys.add(point.key)
             runner.finalize(point)
 
@@ -1164,8 +1193,8 @@ def run_campaign(spec: CampaignSpec,
 
     with runner:
         emit("reuse")
-        _pilot_and_refine(runner, fresh, effective_budget, shots_reused,
-                          stop=stop, interrupt=interrupt,
+        _pilot_and_refine(runner.sample, fresh, effective_budget,
+                          shots_reused, stop=stop, interrupt=interrupt,
                           after_pilot=flush_pilot, after_round=flush_round,
                           before_round=adopt_external)
 
@@ -1251,5 +1280,5 @@ def run_standalone_sweep(sweep: SweepSpec, *, shots: int, seed: int,
                             budget=budget, seed=seed)
         with _PointRunner(spec, None, "", workers=workers,
                           pool=pool) as runner:
-            _pilot_and_refine(runner, fresh, budget)
+            _pilot_and_refine(runner.sample, fresh, budget)
     return resolved

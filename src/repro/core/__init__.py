@@ -11,7 +11,9 @@ evaluation does:
    decodes them, yielding a logical error rate;
 3. :mod:`~repro.core.spacetime` combines the two into the spacetime
    cost metric of Figure 16, and :mod:`~repro.core.sweep` provides the
-   parameter sweeps behind the evaluation figures.
+   parameter sweeps behind the evaluation figures (run as one-sweep
+   campaigns by :mod:`repro.campaign`) and the variance-weighted shot
+   allocation rule of their adaptive schedule.
 """
 
 from repro.core.codesign import Codesign, codesign_by_name, available_codesigns
@@ -29,9 +31,7 @@ from repro.core.stats import (
     wilson_interval,
 )
 from repro.core.sweep import (
-    AdaptivePoint,
     allocate_shots,
-    run_adaptive_refine,
     sweep_architectures,
     sweep_physical_error,
     tally_point_fields,
@@ -39,13 +39,11 @@ from repro.core.sweep import (
 from repro.core.results import ResultTable
 
 __all__ = [
-    "AdaptivePoint",
     "PrecisionTarget",
     "allocate_shots",
     "as_precision_target",
     "binomial_interval",
     "effective_rounds",
-    "run_adaptive_refine",
     "tally_point_fields",
     "wilson_interval",
     "Codesign",

@@ -32,17 +32,19 @@ adaptive sweep inherits the pipeline's determinism contract: results
 are bit-identical for any ``workers=`` at fixed ``shard_shots`` /
 ``target_precision`` / ``pilot_shots``.
 
-This module holds the allocation engine; the sampling itself is the
-campaign orchestrator's.  :func:`sweep_physical_error` and
-:func:`sweep_architectures` run as one-sweep campaigns on no store
+This module holds the allocation rule (:func:`allocate_shots`) and the
+row fields of a tally (:func:`tally_point_fields`).  The schedule that
+drives them (``_pilot_and_refine``) and the sampling are the campaign
+orchestrator's (:mod:`repro.campaign.orchestrator`).
+:func:`sweep_physical_error` and :func:`sweep_architectures` run as
+one-sweep campaigns on no store
 (:func:`~repro.campaign.orchestrator.run_standalone_sweep`), so their
 rows equal that campaign's rows and follow its seed rule.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 
 from repro.codes.css import CSSCode
 from repro.core.codesign import Codesign
@@ -51,27 +53,11 @@ from repro.core.spacetime import spacetime_cost
 from repro.core.stats import PrecisionTarget, as_precision_target, binomial_interval
 
 __all__ = [
-    "AdaptivePoint",
     "allocate_shots",
-    "default_pilot_shots",
-    "run_adaptive_refine",
     "sweep_architectures",
     "sweep_physical_error",
     "tally_point_fields",
 ]
-
-#: Hard ceiling on refine rounds — each round spends real budget, so
-#: this only guards against a pathological no-progress loop.
-_MAX_REFINE_ROUNDS = 8
-
-#: Smallest refine allocation worth dispatching (one worthwhile shard).
-_MIN_REFINE_SHOTS = 32
-
-
-def default_pilot_shots(per_point_budget: int) -> int:
-    """Pilot sizing shared by the sweep and campaign schedulers: a
-    quarter of the per-point budget share, clamped to [32, 512]."""
-    return max(_MIN_REFINE_SHOTS, min(int(per_point_budget) // 4, 512))
 
 
 def _estimated_rate(failures: int, shots: int) -> float:
@@ -119,109 +105,6 @@ def allocate_shots(tallies: Sequence[tuple[int, int]], budget: int,
         share = int(budget * weight / total)
         allocations.append(max(0, min(cap, share)))
     return allocations
-
-
-@dataclass
-class AdaptivePoint:
-    """One estimation point of an adaptive allocate/refine run.
-
-    ``runner(shots, prior_tally, round_index)`` spends up to ``shots``
-    on the point (with the accumulated tally carried into the stop
-    rule) and returns the ``(failures, shots)`` it actually used;
-    ``cap`` bounds the point's total spend and ``tally`` accumulates
-    across rounds.  :func:`run_adaptive_refine` drives a pool of these
-    — the same engine serves one sweep's points
-    (:func:`sweep_physical_error`) and a whole campaign's
-    (:mod:`repro.campaign`).
-    """
-
-    target: PrecisionTarget
-    cap: int
-    runner: Callable[[int, tuple[int, int], int], tuple[int, int]]
-    tally: list[int] = field(default_factory=lambda: [0, 0])
-
-    @property
-    def met(self) -> bool:
-        return self.target.met(self.tally[0], self.tally[1])
-
-    @property
-    def exhausted(self) -> bool:
-        return self.tally[1] >= self.cap
-
-
-def run_adaptive_refine(points: Sequence[AdaptivePoint], global_budget: int,
-                        spent: int = 0,
-                        after_round: Callable[[int], None] | None = None,
-                        should_stop: Callable[[], bool] | None = None,
-                        before_round: Callable[[int], int | None] | None
-                        = None) -> int:
-    """Allocate / refine until every point is tight or the budget is gone.
-
-    Each round re-allocates the remaining ``global_budget - spent``
-    across the unmet points by estimated variance
-    (:func:`allocate_shots`), floors starved points at
-    ``_MIN_REFINE_SHOTS`` for forward progress, and runs them in point
-    order — a deterministic function of the accumulated tallies, which
-    is what lets a campaign re-run reproduce a sweep bit for bit.
-    Returns the total spend (the ``spent`` argument plus every shot the
-    refine rounds used).
-
-    ``after_round(round_index)`` is invoked after each completed round
-    — the campaign uses it to flush freshly finalised points to its
-    result store, so an interrupted run keeps everything already tight.
-
-    ``should_stop()`` is polled before each round and before each
-    point's runner; once it returns true the engine stops cleanly
-    without starting further work (tallies accumulated so far are left
-    intact for the caller to flush) — this is the graceful-interrupt
-    hook the campaign's SIGINT/SIGTERM handling rides on.
-
-    ``before_round(round_index)`` is invoked before the round's
-    allocation is computed; mutating point tallies there is allowed.
-    The campaign uses it to fold in result-store records appended by
-    other processes (``--join`` workers, other served jobs) so finals
-    paid for elsewhere stop receiving allocations.  Its return value
-    (if not ``None``) is added to ``spent`` — adopted shots count
-    against the global budget exactly like the start-of-run reuse scan.
-    """
-    for round_index in range(_MAX_REFINE_ROUNDS):
-        if should_stop is not None and should_stop():
-            break
-        if before_round is not None:
-            adopted = before_round(round_index)
-            if adopted:
-                spent += int(adopted)
-        unmet = [index for index, point in enumerate(points)
-                 if not point.exhausted and not point.met]
-        remaining = global_budget - spent
-        if not unmet or remaining <= 0:
-            break
-        allocations = allocate_shots(
-            [tuple(points[i].tally) for i in unmet], remaining,
-            [points[i].cap - points[i].tally[1] for i in unmet],
-            relative=[points[i].target.relative for i in unmet],
-        )
-        progressed = False
-        for index, allocation in zip(unmet, allocations):
-            if should_stop is not None and should_stop():
-                return spent
-            point = points[index]
-            point_cap = point.cap - point.tally[1]
-            allocation = min(point_cap, max(allocation, _MIN_REFINE_SHOTS),
-                             max(0, global_budget - spent))
-            if allocation <= 0:
-                continue
-            failures, used = point.runner(allocation, tuple(point.tally),
-                                          round_index)
-            point.tally[0] += failures
-            point.tally[1] += used
-            spent += used
-            progressed = progressed or used > 0
-        if after_round is not None:
-            after_round(round_index)
-        if not progressed:
-            break
-    return spent
 
 
 def tally_point_fields(failures: int, shots: int, rounds: int,

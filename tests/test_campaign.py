@@ -1,12 +1,13 @@
 """Tests for the cross-sweep campaign orchestrator, spec and store.
 
-The two properties the ISSUE pins down are here as hypothesis tests:
+Two properties are here as hypothesis tests:
 
 * campaign-level allocation **degenerates to the single-sweep
-  scheduler** when the spec contains exactly one sweep — the campaign
-  allocates through the very same :func:`allocate_shots` /
-  :func:`run_adaptive_refine` engine, and a uniform per-point relative
-  flag sequence is proven equal to PR 4's scalar flag;
+  scheduler** when the spec contains exactly one sweep — every point
+  runs through the one pilot/allocate/refine schedule
+  (``_pilot_and_refine``), whose :func:`allocate_shots` call with a
+  uniform per-point relative flag sequence is proven equal to the
+  scalar flag, and the schedule never overspends its budget;
 * **store-resumed results are bit-identical to a cold run** — for
   arbitrary campaign seeds, a second run against the store re-samples
   zero shots and renders byte-identical tables.
@@ -37,10 +38,11 @@ from repro.campaign import (
     run_campaign,
     verify_store,
 )
+from repro.campaign.orchestrator import _CampaignPoint, _pilot_and_refine
 from repro.cli import main
 from repro.core.results import PRECISION_COLUMNS
 from repro.core.stats import PrecisionTarget
-from repro.core.sweep import AdaptivePoint, allocate_shots, run_adaptive_refine
+from repro.core.sweep import allocate_shots
 
 
 def tiny_spec(budget: int = 400, seed: int = 3,
@@ -235,6 +237,16 @@ tallies_strategy = st.lists(
 )
 
 
+def bare_point(target: PrecisionTarget, cap: int, pilot: int = 0,
+               rate: float = 0.0) -> _CampaignPoint:
+    """A campaign point with no experiment behind it, for driving the
+    schedule with a fake ``sample``."""
+    return _CampaignPoint(
+        sweep_index=0, point_index=0, sweep=None, row={}, sampled=True,
+        physical_error_rate=rate, round_latency_us=0.0, rounds=1,
+        target=target, cap=cap, pilot=pilot, key="", params={})
+
+
 class TestAllocationDegeneracy:
     @given(tallies=tallies_strategy,
            budget=st.integers(0, 100_000),
@@ -257,36 +269,25 @@ class TestAllocationDegeneracy:
 
     @given(rates=st.lists(st.floats(0.001, 0.4), min_size=1, max_size=5),
            budget=st.integers(100, 5000),
-           seed=st.integers(0, 10))
+           pilot=st.integers(0, 200))
     @settings(max_examples=50, deadline=None)
-    def test_refine_engine_respects_budget(self, rates, budget, seed):
-        """The shared engine never overspends the global budget, with
-        deterministic fake runners standing in for experiments."""
-        del seed
+    def test_refine_engine_respects_budget(self, rates, budget, pilot):
+        """The schedule never overspends the global budget, and every
+        shot a stage used lands in its point's tally, with a
+        deterministic fake ``sample`` standing in for experiments."""
+        used = []
 
-        def runner_for(rate):
-            def runner(allocation, prior, round_index):
-                del prior, round_index
-                return int(allocation * rate), allocation
-            return runner
+        def sample(point, allocation, prior, stage):
+            del prior, stage
+            used.append(allocation)
+            return int(allocation * point.physical_error_rate), allocation
 
-        points = [
-            AdaptivePoint(target=PrecisionTarget(half_width=0.01),
-                          cap=budget, runner=runner_for(rate))
-            for rate in rates
-        ]
-        spent = run_adaptive_refine(points, budget, 0)
-        assert spent <= budget
-        assert spent == sum(point.tally[1] for point in points)
-
-    def test_campaign_uses_the_sweep_engine(self):
-        """Structural degeneracy: the orchestrator refines through the
-        very function the single-sweep scheduler uses."""
-        from repro.campaign import orchestrator
-        from repro.core import sweep
-
-        assert orchestrator.run_adaptive_refine is sweep.run_adaptive_refine
-        assert orchestrator.AdaptivePoint is sweep.AdaptivePoint
+        points = [bare_point(PrecisionTarget(half_width=0.01), budget,
+                             pilot=pilot, rate=rate)
+                  for rate in rates]
+        _pilot_and_refine(sample, points, budget)
+        assert sum(used) <= budget
+        assert sum(used) == sum(point.tally[1] for point in points)
 
 
 # ----------------------------------------------------------------------
@@ -576,26 +577,22 @@ class TestMidRunExternalAdoption:
         against the global budget exactly like carried-in reuse."""
         calls: list[int] = []
 
-        def runner(allocation, prior, round_index):
-            del prior, round_index
+        def sample(point, allocation, prior, stage):
+            del point, prior, stage
             return 0, allocation
 
         def before_round(round_index: int) -> int:
             calls.append(round_index)
             return 100 if round_index == 0 else 0
 
-        points = [
-            AdaptivePoint(target=PrecisionTarget(half_width=1e-9),
-                          cap=1000, runner=runner)
-            for _ in range(2)
-        ]
-        spent = run_adaptive_refine(points, 300, 0,
-                                    before_round=before_round)
+        points = [bare_point(PrecisionTarget(half_width=1e-9), 1000)
+                  for _ in range(2)]
+        _pilot_and_refine(sample, points, 300, before_round=before_round)
         # 100 of the 300-shot budget was adopted externally before
-        # round 0, so the points' own sampling stays within 200.
-        assert calls and calls[0] == 0
-        assert spent <= 300
-        assert sum(point.tally[1] for point in points) == spent - 100
+        # round 0, so the points' own sampling spends exactly the
+        # other 200, and round 1 finds the budget gone.
+        assert calls == [0, 1]
+        assert sum(point.tally[1] for point in points) == 200
 
 
 class TestCampaignCLI:
