@@ -91,7 +91,7 @@ from repro.core.stats import PrecisionTarget
 from repro.core.sweep import sweep_physical_error
 from repro.decoders.bposd import BPOSDDecoder
 from repro.noise import HardwareNoiseModel
-from repro.parallel import DecoderHandle, ExperimentHandle, ShardedExperiment
+from repro.parallel import ExperimentHandle, ShardedExperiment
 from repro.sim import FrameSimulator, detector_error_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -395,10 +395,8 @@ def build_pipeline_handle() -> ExperimentHandle:
     )
     model = build_phenomenological_model(code, noise, rounds=6)
     return ExperimentHandle(
-        decoder=DecoderHandle(model.check_matrix, model.priors,
-                              max_iterations=40),
-        observable_matrix=model.observable_matrix,
-        method="phenomenological",
+        model.check_matrix, model.observable_matrix, model.priors,
+        method="phenomenological", max_iterations=40,
     )
 
 

@@ -79,7 +79,6 @@ from repro.campaign import (
 )
 from repro.noise import BaseNoiseModel, HardwareNoiseModel
 from repro.parallel import (
-    DecoderHandle,
     ExperimentHandle,
     SharedPool,
     ShardedExperiment,
@@ -117,7 +116,6 @@ __all__ = [
     "SweepSpec",
     "load_spec",
     "run_campaign",
-    "DecoderHandle",
     "ExperimentHandle",
     "SharedPool",
     "ShardedExperiment",

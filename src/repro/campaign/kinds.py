@@ -29,9 +29,10 @@ Registering a custom kind::
 ``expand`` returns :class:`ExpandedPoint` entries; each carries its
 table row's static cells, the operating point ``(p, latency)`` the
 memory experiment runs at, the fingerprint material for the result
-store, and optional per-point overrides (own code, rounds, backend, a
-differential-oracle check).  Points with ``sampled=False`` are
-analytic rows (compiled latencies only) that never cost budget.
+store, and optional per-point overrides (own code, rounds, basis, shard
+size, BP iterations, budget pins, a differential-oracle check).  Points
+with ``sampled=False`` are analytic rows (compiled latencies only) that
+never cost budget.
 
 Execution paths
 ---------------
@@ -94,10 +95,11 @@ class KindParam:
 
 @dataclass(frozen=True)
 class OracleCheck:
-    """A differential check attached to a point: re-run the identical
-    sampling on the ``reference`` backend (``workers=1``, no pool) and
-    require a bit-identical tally; on mismatch the ``scenario`` is
-    minimized and written under ``failure_dir``."""
+    """A differential check attached to a point: replay each sampling
+    stage with :func:`~repro.campaign.scenarios.run_scenario` on the
+    ``reference`` backend (``workers=1``, no pool) and require a
+    bit-identical tally; on mismatch the ``scenario`` is minimized and
+    written under ``failure_dir``."""
 
     reference: str
     scenario: Scenario
@@ -110,14 +112,16 @@ class ExpandedPoint:
 
     ``row`` holds the static table cells; ``params`` the extra
     JSON-safe material that distinguishes this point in the result
-    store's fingerprint key.  ``None`` overrides fall back to the
-    sweep's fields.  ``cap``/``pilot`` pin the campaign budget for the
-    point (a scenario samples exactly its own shot count);
-    ``seed_entropy`` replaces the campaign's positional seed with the
-    point's own stored entropy, so the point replays identically
-    outside the campaign.  Points sharing an ``experiment_key`` share
-    one :class:`~repro.core.memory.MemoryExperiment` ("" — the whole
-    sweep shares one).
+    store's fingerprint key.  ``None`` overrides (code, rounds, basis,
+    shard size, BP iterations) fall back to the sweep's fields; the
+    method, backend and OSD order are always the sweep's.
+    ``cap``/``pilot`` pin the campaign budget for the point (a scenario
+    samples exactly its own shot count); ``seed_entropy`` replaces the
+    campaign's positional seed with the point's own stored entropy, so
+    the point replays identically outside the campaign.  Points sharing
+    an ``experiment_key`` share one
+    :class:`~repro.core.memory.MemoryExperiment` ("" — the whole sweep
+    shares one).
     """
 
     row: dict
@@ -128,10 +132,8 @@ class ExpandedPoint:
     code: CSSCode | None = None
     rounds: int | None = None
     basis: str | None = None
-    backend: str | None = None
     shard_shots: int | None = None
     max_bp_iterations: int | None = None
-    osd_order: int | None = None
     experiment_key: str = ""
     cap: int | None = None
     pilot: int | None = None
@@ -698,6 +700,12 @@ def _validate_scenario_sweep(sweep) -> None:
     if values["check_backend"] not in BACKENDS:
         raise ValueError(f"sweep {sweep.name!r}: check_backend must be "
                          "'packed', 'bool' or 'native'")
+    # A scenario file records neither knob, and its replay
+    # (run_scenario) runs the phenomenological method at OSD-0.
+    if sweep.method != "phenomenological" or sweep.osd_order != 0:
+        raise ValueError(f"sweep {sweep.name!r}: a scenario sweep runs "
+                         "the phenomenological method at osd_order 0, "
+                         "as its scenario files replay")
 
 
 register_kind(SweepKind(

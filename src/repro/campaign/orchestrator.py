@@ -16,13 +16,15 @@ What a sweep *means* is delegated to the sweep-kind registry
 (:mod:`repro.campaign.kinds`): each kind expands its spec into
 :class:`~repro.campaign.kinds.ExpandedPoint` entries — the static table
 cells, the operating point, optional per-point overrides (own code,
-rounds, backend, budget pins) and an optional differential-oracle
-check.  Points with ``sampled=False`` (the analytic compiler/swap
-tables) appear in the result tables but never touch the budget or the
-store.  Points carrying an :class:`~repro.campaign.kinds.OracleCheck`
-(the ``scenario_sweep`` kind) are re-run after every sampling stage on
-the reference backend with ``workers=1`` and must match bit for bit —
-a mismatch minimizes the scenario to a replayable JSON file and raises
+rounds, basis, shard size, BP iterations, budget pins) and an optional
+differential-oracle check.  Points with ``sampled=False`` (the analytic
+compiler/swap tables) appear in the result tables but never touch the
+budget or the store.  Points carrying an
+:class:`~repro.campaign.kinds.OracleCheck` (the ``scenario_sweep``
+kind) are replayed after every sampling stage by
+:func:`~repro.campaign.scenarios.run_scenario` on the reference backend
+(``workers=1``) and must match bit for bit — a mismatch minimizes the
+scenario to a replayable JSON file and raises
 :class:`~repro.campaign.scenarios.ScenarioMismatch`.  Oracle re-runs
 are a *check*, not an estimate, so their shots do not count against
 the campaign budget.
@@ -64,7 +66,7 @@ from repro.campaign.coordination import (
     WorkerIdentity,
 )
 from repro.campaign.kinds import ExpandedPoint, OracleCheck, kind_by_name
-from repro.campaign.scenarios import report_scenario_mismatch
+from repro.campaign.scenarios import report_scenario_mismatch, run_scenario
 from repro.campaign.spec import CampaignSpec, SweepSpec
 from repro.campaign.store import ResultStore, fingerprint
 from repro.codes import code_by_name
@@ -74,8 +76,7 @@ from repro.core.results import PRECISION_COLUMNS, ResultTable
 from repro.core.stats import PrecisionTarget
 from repro.core.sweep import allocate_shots, tally_point_fields
 from repro.parallel.faults import active_plan
-from repro.parallel.pipeline import SharedPool
-from repro.parallel.sharded import resolve_workers
+from repro.parallel.pipeline import SharedPool, resolve_workers
 
 __all__ = ["CampaignInterrupted", "CampaignResult", "JoinedCampaign",
            "run_campaign"]
@@ -126,10 +127,8 @@ class _CampaignPoint:
     params: dict
     code: object = None
     basis: str = "Z"
-    backend: str = "packed"
     shard_shots: int | None = None
     max_bp_iterations: int = 40
-    osd_order: int = 0
     experiment_key: str = ""
     seed_entropy: int | None = None
     oracle: OracleCheck | None = None
@@ -308,8 +307,8 @@ def _sweep_points(sweep: SweepSpec, sweep_index: int,
                   seed: int, campaign_fp: str) -> list[_CampaignPoint]:
     """Resolve one sweep's expanded points against the sweep's knobs.
 
-    A point's own overrides (code, rounds, basis, backend, shard size,
-    decoder knobs, budget pins) win over the sweep's fields.  The
+    A point's own overrides (code, rounds, basis, shard size, BP
+    iterations, budget pins) win over the sweep's fields.  The
     store key of a sampled point fingerprints everything that shapes
     its tally: the campaign fingerprint, the point's position, its
     full experiment configuration and the kind-specific parameters the
@@ -333,16 +332,12 @@ def _sweep_points(sweep: SweepSpec, sweep_index: int,
             else sweep.rounds) if point_code is not None else 1
         basis = (expanded.basis if expanded.basis is not None
                  else sweep.basis)
-        backend = (expanded.backend if expanded.backend is not None
-                   else sweep.backend)
         shard_shots = (expanded.shard_shots
                        if expanded.shard_shots is not None
                        else sweep.shard_shots)
         max_bp = (expanded.max_bp_iterations
                   if expanded.max_bp_iterations is not None
                   else sweep.max_bp_iterations)
-        osd = (expanded.osd_order if expanded.osd_order is not None
-               else sweep.osd_order)
         if not expanded.sampled:
             points.append(_CampaignPoint(
                 sweep_index=sweep_index, point_index=point_index,
@@ -368,11 +363,11 @@ def _sweep_points(sweep: SweepSpec, sweep_index: int,
             "code": point_code.name if point_code is not None else "",
             "method": sweep.method,
             "basis": basis,
-            "backend": backend,
+            "backend": sweep.backend,
             "rounds": rounds,
             "shard_shots": shard_shots,
             "max_bp_iterations": max_bp,
-            "osd_order": osd,
+            "osd_order": sweep.osd_order,
             "physical_error_rate": expanded.physical_error_rate,
             "round_latency_us": expanded.round_latency_us,
             "target": sweep.target.to_dict(),
@@ -389,9 +384,8 @@ def _sweep_points(sweep: SweepSpec, sweep_index: int,
             round_latency_us=expanded.round_latency_us,
             rounds=rounds, target=sweep.target, cap=cap, pilot=pilot,
             key=fingerprint(params), params=params,
-            code=point_code, basis=basis, backend=backend,
-            shard_shots=shard_shots, max_bp_iterations=max_bp,
-            osd_order=osd, experiment_key=expanded.experiment_key,
+            code=point_code, basis=basis, shard_shots=shard_shots,
+            max_bp_iterations=max_bp, experiment_key=expanded.experiment_key,
             seed_entropy=expanded.seed_entropy,
             oracle=expanded.oracle,
         ))
@@ -524,32 +518,24 @@ class _PointRunner:
         self._stack.close()
 
     # ------------------------------------------------------------------
-    def experiment(self, point: _CampaignPoint,
-                   reference: str | None = None) -> MemoryExperiment:
-        """The point's experiment, cached per sweep and experiment key.
-
-        ``reference`` names an oracle backend: that experiment runs
-        in-process, without the pool or the fault-tolerance knobs."""
-        key = (point.sweep_index, point.experiment_key, reference)
+    def experiment(self, point: _CampaignPoint) -> MemoryExperiment:
+        """The point's experiment, cached per sweep and experiment key."""
+        key = (point.sweep_index, point.experiment_key)
         experiment = self._experiments.get(key)
         if experiment is None:
-            fast = reference is None
+            sweep = point.sweep
             # The run-level overrides win over the sweep's knobs.
             timeout = (self.shard_timeout if self.shard_timeout is not None
-                       else point.sweep.shard_timeout)
+                       else sweep.shard_timeout)
             retries = (self.max_shard_retries
                        if self.max_shard_retries is not None
-                       else point.sweep.max_shard_retries)
+                       else sweep.max_shard_retries)
             experiment = self._stack.enter_context(MemoryExperiment(
-                code=point.code, rounds=point.rounds,
-                basis=point.basis, method=point.sweep.method,
-                max_bp_iterations=point.max_bp_iterations,
-                osd_order=point.osd_order, seed=self.spec.seed,
-                backend=point.backend if fast else reference,
-                shard_shots=point.shard_shots,
-                pool=self.pool if fast else None,
-                shard_timeout=timeout if fast else None,
-                max_shard_retries=retries if fast else None,
+                code=point.code, rounds=point.rounds, basis=point.basis,
+                method=sweep.method, max_bp_iterations=point.max_bp_iterations,
+                osd_order=sweep.osd_order, backend=sweep.backend,
+                shard_shots=point.shard_shots, pool=self.pool,
+                shard_timeout=timeout, max_shard_retries=retries,
             ))
             self._experiments[key] = experiment
         return experiment
@@ -591,20 +577,20 @@ class _PointRunner:
             prior_tally=prior, seed=self.seed(point, stage),
         )
         if point.oracle is not None:
-            # Identical sampling on the reference backend (workers=1,
-            # no pool); an equal-valued SeedSequence rebuilds the same
-            # shard tree, so the oracle re-draws the fast run's exact
-            # shots.  Oracle shots are a check, not an estimate — they
-            # never count against the campaign budget.
-            check = self.experiment(
-                point, reference=point.oracle.reference,
-            ).run(point.physical_error_rate, point.round_latency_us,
-                  shots=allocation, target_precision=point.target,
-                  prior_tally=prior, seed=self.seed(point, stage))
+            # The stage's replay on the reference backend (workers=1,
+            # no pool) — the call a stored scenario file replays with.
+            # It seeds the stage as self.seed does, so the oracle
+            # re-draws the fast run's exact shots.  Oracle shots are a
+            # check, not an estimate — they never count against the
+            # campaign budget.
+            check = run_scenario(
+                point.oracle.scenario, backend=point.oracle.reference,
+                shots=allocation, stage=stage, prior_tally=prior,
+                target=point.target)
             if ((check.failures, check.shots)
                     != (result.failures, result.shots)):
                 report_scenario_mismatch(
-                    point.oracle.scenario, point.backend,
+                    point.oracle.scenario, point.sweep.backend,
                     point.oracle.reference, point.oracle.failure_dir,
                     detail=(f"campaign {self.spec.name!r} sweep "
                             f"{point.sweep.name!r} stage {stage}: "
@@ -1046,13 +1032,14 @@ def run_campaign(spec: CampaignSpec,
     neither creates nor closes a pool and sizes the experiments to
     ``pool.workers``.
 
-    A store shared with other live writers (``--join`` workers or a
-    second plain run of the *same spec and budget*) is re-read before
-    every allocation round: fresh points that gained a final record
-    elsewhere — final on merit, i.e. target met or cap reached — are
-    adopted instead of re-sampled, counted as ``shots_external``
-    against this run's budget exactly like the start-of-run reuse
-    scan.
+    A store shared with another live plain run of the *same spec and
+    budget* is re-read before every allocation round: fresh points that
+    gained a final record there — final on merit, i.e. target met or
+    cap reached — are adopted instead of re-sampled, counted as
+    ``shots_external`` against this run's budget exactly like the
+    start-of-run reuse scan.  ``--join`` workers may share the file,
+    but their records are keyed apart (:func:`_partition_points`), so a
+    plain run never reuses or adopts them.
     """
     if join:
         if store is None:
@@ -1131,13 +1118,13 @@ def run_campaign(spec: CampaignSpec,
     def adopt_external(round_index: int | None = None) -> int:
         """Fold in finals appended by other processes since we last
         looked — the mid-run counterpart of the start-of-run reuse
-        scan, so a long-running served job benefits from ``--join``
-        workers (or a second run of the same spec and budget) feeding
-        the same store file.  Only records final *on merit* — target
-        met or cap reached — are adopted; a record final merely
-        because another run's budget ran out keeps sampling here.
-        Returns the adopted shots, which count against this run's
-        budget exactly like start-of-run reuse."""
+        scan, so a long-running served job benefits from another plain
+        run of the same spec and budget feeding the same store file
+        (``--join`` workers' records never match a plain run's keys).
+        Only records final *on merit* — target met or cap reached — are
+        adopted; a record final merely because another run's budget ran
+        out keeps sampling here.  Returns the adopted shots, which count
+        against this run's budget exactly like start-of-run reuse."""
         nonlocal shots_external
         if store is None or store.refresh() == 0:
             return 0

@@ -263,23 +263,24 @@ def scenario_run_seed(scenario: Scenario,
 
 
 def run_scenario(scenario: Scenario, backend: str = "packed",
-                 workers: int = 1, pool=None, shots: int | None = None,
-                 stage: int = 0,
+                 shots: int | None = None, stage: int = 0,
                  prior_tally: tuple[int, int] = (0, 0),
                  target=None) -> MemoryResult:
-    """Execute one scenario through the fused pipeline.
+    """Execute one scenario in-process through the fused pipeline.
 
-    Bit-identical for any ``workers``/``pool`` at the scenario's fixed
-    ``shard_shots``, and — per the repository's backend-equivalence
-    contract — for any ``backend``; :func:`scenario_differs` checks
-    exactly that.
+    Samples stage ``stage`` (:func:`scenario_run_seed`) of
+    ``shots`` shots (default: the scenario's own) with
+    ``prior_tally`` carried into the ``target`` stop rule — the replay
+    a ``scenario_sweep`` campaign's oracle makes of every stage.  Per
+    the repository's backend-equivalence contract the tally is the
+    same for any ``backend``; :func:`scenario_differs` checks exactly
+    that.
     """
     code, latency = build_scenario(scenario)
     with MemoryExperiment(
         code=code, rounds=scenario.rounds, basis=scenario.basis,
         max_bp_iterations=scenario.max_bp_iterations,
-        backend=backend, workers=workers,
-        shard_shots=scenario.shard_shots, pool=pool,
+        backend=backend, shard_shots=scenario.shard_shots,
     ) as experiment:
         return experiment.run(
             scenario.physical_error_rate, latency,
@@ -296,8 +297,8 @@ def scenario_differs(scenario: Scenario, backend: str = "packed",
     ``True`` means a real equivalence violation: the two tallies came
     from the identical seed tree, shard split and stop rule.
     """
-    fast = run_scenario(scenario, backend=backend, workers=1)
-    oracle = run_scenario(scenario, backend=reference, workers=1)
+    fast = run_scenario(scenario, backend=backend)
+    oracle = run_scenario(scenario, backend=reference)
     return (fast.failures, fast.shots) != (oracle.failures, oracle.shots)
 
 

@@ -303,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", required=True, metavar="PATH",
         help="JSON-lines result store shared by every served job: "
              "finished points are cache hits for later submissions, "
-             "and --join workers appending to the same file are folded "
-             "in before every allocation round",
+             "and finals that another plain run of the same spec and "
+             "budget appends to the file are folded in before every "
+             "allocation round (--join workers may share the file, "
+             "but their records are never used)",
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1",

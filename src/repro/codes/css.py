@@ -187,11 +187,6 @@ class CSSCode:
         z_error = gf2_matrix(z_error).reshape(-1)
         return bool(((self.logical_x @ z_error) % 2).any())
 
-    def x_syndrome(self, z_error: np.ndarray) -> np.ndarray:
-        """Syndrome of a Z error pattern measured by the X stabilizers."""
-        z_error = gf2_matrix(z_error).reshape(-1)
-        return (self.hx @ z_error) % 2
-
     def z_syndrome(self, x_error: np.ndarray) -> np.ndarray:
         """Syndrome of an X error pattern measured by the Z stabilizers."""
         x_error = gf2_matrix(x_error).reshape(-1)

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.circuits.builder import memory_experiment_circuit
 from repro.codes.css import CSSCode
-from repro.codes.scheduling import StabilizerSchedule
 from repro.core.phenomenological import (
     build_phenomenological_model,
     build_spacetime_structure,
@@ -47,8 +46,12 @@ from repro.core.stats import PrecisionTarget, as_precision_target
 from repro.decoders.bposd import BACKENDS
 from repro.linalg.native import simulation_backend
 from repro.noise.hardware import HardwareNoiseModel
-from repro.parallel.pipeline import ExperimentHandle, SharedPool, ShardedExperiment
-from repro.parallel.sharded import DecoderHandle, resolve_workers
+from repro.parallel.pipeline import (
+    ExperimentHandle,
+    SharedPool,
+    ShardedExperiment,
+    resolve_workers,
+)
 from repro.sim.dem import DemStructureCache
 
 __all__ = ["MemoryExperiment", "MemoryResult", "effective_rounds",
@@ -162,8 +165,6 @@ class MemoryExperiment:
         ``"phenomenological"`` (default) or ``"circuit"``.
     max_bp_iterations, osd_order:
         Decoder knobs passed to :class:`~repro.decoders.bposd.BPOSDDecoder`.
-    schedule:
-        Gate schedule used by the circuit-level method.
     backend:
         ``"packed"`` (default) uses the bit-packed shot-parallel kernels
         throughout (simulator, DEM, decoder); ``"native"`` additionally
@@ -179,10 +180,10 @@ class MemoryExperiment:
         *and* decodes its own shards; results are bit-identical for
         every value at a fixed ``shard_shots``.
     shard_shots:
-        Shots per pipeline shard (default: the decoder's
-        ``block_shots``).  Part of the determinism key: each shard
-        samples from its own seed-tree child, so runs are comparable at
-        a fixed value.
+        Shots per pipeline shard (default:
+        :data:`~repro.decoders.bposd.BLOCK_SHOTS`).  Part of the
+        determinism key: each shard samples from its own seed-tree
+        child, so runs are comparable at a fixed value.
     seed:
         Root seed.  Every call to :meth:`run` derives an independent
         child seed via ``numpy.random.SeedSequence.spawn`` (so sweep
@@ -213,7 +214,6 @@ class MemoryExperiment:
     method: str = "phenomenological"
     max_bp_iterations: int = 40
     osd_order: int = 0
-    schedule: StabilizerSchedule | None = None
     seed: int = 0
     backend: str = "packed"
     workers: int = 1
@@ -263,7 +263,6 @@ class MemoryExperiment:
     def run(self, physical_error_rate: float, round_latency_us: float,
             shots: int = 200,
             target_precision: "float | PrecisionTarget | None" = None,
-            max_shots: int | None = None,
             prior_tally: tuple[int, int] = (0, 0),
             seed: "int | np.random.SeedSequence | None" = None
             ) -> MemoryResult:
@@ -273,10 +272,9 @@ class MemoryExperiment:
         and stops — deterministically, on the shard-prefix tally — once
         the half-width (absolute float, or a
         :class:`~repro.core.stats.PrecisionTarget` for relative
-        targets) is reached; ``max_shots`` overrides ``shots`` as the
-        budget cap.  ``prior_tally`` carries ``(failures, shots)`` from
-        earlier runs of this operating point into the stop rule (the
-        adaptive sweep's pilot pass).
+        targets) is reached within the ``shots`` budget.  ``prior_tally``
+        carries ``(failures, shots)`` from earlier runs of this operating
+        point into the stop rule (the adaptive sweep's pilot pass).
 
         ``seed`` overrides the experiment's sequentially spawned
         per-run seed with an explicit root for this run's shard tree —
@@ -285,7 +283,7 @@ class MemoryExperiment:
         this; when omitted the experiment spawns the next child of its
         own root seed exactly as before.
         """
-        budget = int(max_shots) if max_shots is not None else int(shots)
+        budget = int(shots)
         target = as_precision_target(target_precision)
         if seed is None:
             run_seed = self._spawn_seed()
@@ -335,17 +333,12 @@ class MemoryExperiment:
         and the worker pool persists across the sweep.
         """
         if (self._pipeline is None
-                or self._pipeline.handle.decoder.check_matrix
-                is not check_matrix):
+                or self._pipeline.handle.check_matrix is not check_matrix):
             self.close()
             handle = ExperimentHandle(
-                decoder=DecoderHandle(
-                    check_matrix=check_matrix, priors=priors,
-                    max_iterations=self.max_bp_iterations,
-                    osd_order=self.osd_order, backend=self.backend,
-                ),
-                observable_matrix=observable_matrix,
-                method=self.method,
+                check_matrix, observable_matrix, priors, method=self.method,
+                backend=self.backend, max_iterations=self.max_bp_iterations,
+                osd_order=self.osd_order,
             )
             self._pipeline = ShardedExperiment(
                 handle, workers=self.workers, shard_shots=self.shard_shots,
@@ -387,8 +380,7 @@ class MemoryExperiment:
                      prior_tally: tuple[int, int],
                      run_seed: np.random.SeedSequence) -> tuple:
         circuit = memory_experiment_circuit(
-            self.code, noise, schedule=self.schedule, rounds=self.rounds,
-            basis=self.basis,
+            self.code, noise, rounds=self.rounds, basis=self.basis,
         )
         # The DEM fault signatures depend on where the circuit's faults
         # live, not on their rates; across sweep points only the priors
@@ -422,19 +414,16 @@ def logical_error_rate(code: CSSCode, physical_error_rate: float,
                        workers: int = 1,
                        shard_shots: int | None = None,
                        target_precision: "float | PrecisionTarget | None"
-                       = None,
-                       max_shots: int | None = None) -> MemoryResult:
+                       = None) -> MemoryResult:
     """One-call convenience wrapper around :class:`MemoryExperiment`.
 
     ``target_precision`` streams the run to a Wilson-interval half-width
-    and stops early (deterministically — see
-    :mod:`repro.parallel.pipeline`); ``max_shots`` caps the budget when
-    it should differ from ``shots``.
+    and stops early within ``shots`` (deterministically — see
+    :mod:`repro.parallel.pipeline`).
     """
     with MemoryExperiment(
         code=code, rounds=rounds, basis=basis, method=method, seed=seed,
         backend=backend, workers=workers, shard_shots=shard_shots,
     ) as experiment:
         return experiment.run(physical_error_rate, round_latency_us,
-                              shots=shots, target_precision=target_precision,
-                              max_shots=max_shots)
+                              shots=shots, target_precision=target_precision)

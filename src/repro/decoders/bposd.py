@@ -37,10 +37,14 @@ import numpy as np
 from repro.decoders.bp import BeliefPropagationDecoder
 from repro.decoders.gf2dense import PackedGF2Matrix
 
-__all__ = ["BACKENDS", "BPOSDDecoder", "DecodeResult"]
+__all__ = ["BACKENDS", "BLOCK_SHOTS", "BPOSDDecoder", "DecodeResult"]
 
 #: Decoder backends, in the order the CLI lists them.
 BACKENDS = ("packed", "bool", "native")
+
+#: Shots per BP block, and the pipeline's default shard size.  The
+#: shard layout roots every seed tree, so changing it moves results.
+BLOCK_SHOTS = 2048
 
 
 @dataclass
@@ -65,7 +69,7 @@ class BPOSDDecoder:
     def __init__(self, check_matrix: np.ndarray, priors: np.ndarray,
                  max_iterations: int = 50, osd_order: int = 0,
                  scaling_factor: float = 0.75,
-                 backend: str = "packed", block_shots: int = 2048,
+                 backend: str = "packed", block_shots: int = BLOCK_SHOTS,
                  factor_cache_size: int = 32) -> None:
         if backend not in BACKENDS:
             raise ValueError("backend must be 'packed', 'bool' or 'native'")

@@ -25,7 +25,6 @@ from repro.linalg.bitops import (
     pack_bits,
     unpack_bits,
     popcount,
-    popcount_words,
     parity,
     xor_reduce,
     xor_accumulate,
@@ -54,7 +53,6 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "popcount",
-    "popcount_words",
     "parity",
     "xor_reduce",
     "xor_accumulate",

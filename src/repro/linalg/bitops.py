@@ -31,7 +31,6 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "popcount",
-    "popcount_words",
     "parity",
     "xor_reduce",
     "xor_accumulate",
@@ -120,22 +119,6 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
         v = (v & m2) + ((v >> np.uint64(2)) & m2)
         v = (v + (v >> np.uint64(4))) & m4
         return (v * h01) >> np.uint64(56)
-
-
-def popcount_words(words: np.ndarray, backend: str = "packed") -> np.ndarray:
-    """Per-word population count with backend dispatch.
-
-    ``backend="packed"`` (default) is :func:`popcount`;
-    ``backend="native"`` routes to the compiled kernel tier when the
-    host toolchain provides it and falls back to :func:`popcount`
-    otherwise.  Counts are exact integers, so the backends are
-    interchangeable bit for bit (the native path returns uint8 counts,
-    as numpy >= 2 does).
-    """
-    kernels = _native_kernels(backend)
-    if kernels is not None:
-        return kernels.popcount_words(np.asarray(words, dtype=WORD_DTYPE))
-    return popcount(words)
 
 
 def parity(words: np.ndarray, axis: int = -1) -> np.ndarray:

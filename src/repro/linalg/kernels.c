@@ -5,14 +5,12 @@
  * headers.  Every function mirrors a numpy kernel in this repository
  * bit for bit:
  *
- *   repro_popcount_words       <-> linalg.bitops.popcount
- *   repro_packed_matmul        <-> linalg.bitops.packed_matmul
  *   repro_packed_matmul_words  <-> linalg.bitops.packed_matmul_words
  *   repro_gf2_gauss_jordan     <-> decoders.gf2dense._gauss_jordan
  *   repro_min_sum_check_update <-> decoders.bp.BeliefPropagationDecoder
  *                                  ._check_update
  *
- * GF(2) arithmetic is exact, so the first four are bit-identical by
+ * GF(2) arithmetic is exact, so the first two are bit-identical by
  * construction.  The min-sum update is floating point: it performs the
  * same IEEE-754 double operations in the same order as the numpy
  * expression (sign products over exact +-1.0 values, comparison-based
@@ -35,42 +33,12 @@
 #define API __attribute__((visibility("default")))
 
 /* ------------------------------------------------------------------ */
-/* Per-word population count: out[i] = popcount(words[i]).            */
-API void repro_popcount_words(const uint64_t *restrict words, int64_t n,
-                              uint8_t *restrict out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        out[i] = (uint8_t)__builtin_popcountll(words[i]);
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* GF(2) product of row-packed operands: out[i, j] = parity of
- * A_row_i AND B_row_j, i.e. (A @ B.T mod 2)[i, j] as uint8.
- * Parity of a sum of popcounts equals the popcount of the XOR fold,
- * so the inner loop is one AND + one XOR per word.                   */
-API void repro_packed_matmul(const uint64_t *restrict a,
-                             const uint64_t *restrict b,
-                             int64_t m, int64_t n, int64_t words,
-                             uint8_t *restrict out)
-{
-    for (int64_t i = 0; i < m; i++) {
-        const uint64_t *ai = a + i * words;
-        uint8_t *oi = out + i * n;
-        for (int64_t j = 0; j < n; j++) {
-            const uint64_t *bj = b + j * words;
-            uint64_t fold = 0;
-            for (int64_t w = 0; w < words; w++) {
-                fold ^= ai[w] & bj[w];
-            }
-            oi[j] = (uint8_t)(__builtin_popcountll(fold) & 1);
-        }
-    }
-}
-
-/* Same product with the output bit-packed along the B rows: bit j of
- * out word row i (LSB-first uint64 layout) is (A @ B.T mod 2)[i, j].
- * Padding bits beyond n stay zero, matching bitops.pack_bits.        */
+/* GF(2) product of row-packed operands, bit-packed along the B rows:
+ * bit j of out word row i (LSB-first uint64 layout) is the parity of
+ * A_row_i AND B_row_j, i.e. (A @ B.T mod 2)[i, j].  Parity of a sum of
+ * popcounts equals the popcount of the XOR fold, so the inner loop is
+ * one AND + one XOR per word.  Padding bits beyond n stay zero,
+ * matching bitops.pack_bits.                                         */
 API void repro_packed_matmul_words(const uint64_t *restrict a,
                                    const uint64_t *restrict b,
                                    int64_t m, int64_t n, int64_t words,

@@ -3,9 +3,9 @@
 The packed uint64 kernels in :mod:`repro.linalg.bitops` are numpy-bound:
 every BP iteration pays array-temporary and dispatch overhead across a
 dozen vectorized passes.  This module compiles a small C library
-(``kernels.c`` — word-level popcount via ``__builtin_popcountll``,
-packed GF(2) matmul, packed Gauss-Jordan row reduction, and a fused
-min-sum check-node update over edge segments) **on first use** with the
+(``kernels.c`` — the packed GF(2) matmul behind BP's syndrome
+verification, packed Gauss-Jordan row reduction, and a fused min-sum
+check-node update over edge segments) **on first use** with the
 host C compiler and binds it via :mod:`ctypes` — no pip installs, no
 Cython, no build system.
 
@@ -74,7 +74,7 @@ logger = logging.getLogger(__name__)
 
 #: Bumped whenever the C ABI (function signatures/semantics) changes;
 #: part of the cache-directory fingerprint so old binaries never load.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 #: Compile flags, recorded verbatim in the build fingerprint.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c11")
@@ -306,11 +306,6 @@ class NativeKernels:
         u64p = ctypes.POINTER(ctypes.c_uint64)
         i64p = ctypes.POINTER(ctypes.c_int64)
         f64p = ctypes.POINTER(ctypes.c_double)
-        library.repro_popcount_words.argtypes = [u64p, i64, u8p]
-        library.repro_popcount_words.restype = None
-        library.repro_packed_matmul.argtypes = [u64p, u64p, i64, i64, i64,
-                                                u8p]
-        library.repro_packed_matmul.restype = None
         library.repro_packed_matmul_words.argtypes = [u64p, u64p, i64, i64,
                                                       i64, u64p, i64]
         library.repro_packed_matmul_words.restype = None
@@ -323,39 +318,6 @@ class NativeKernels:
         library.repro_min_sum_check_update.restype = None
 
     # ------------------------------------------------------------------
-    def popcount_words(self, words: np.ndarray) -> np.ndarray:
-        """Per-word popcount; same shape, uint8 counts (<= 64)."""
-        words = _as_words(words)
-        out = np.empty(words.shape, dtype=np.uint8)
-        if words.size:
-            self._lib.repro_popcount_words(
-                _pointer(words, ctypes.c_uint64),
-                ctypes.c_int64(words.size),
-                _pointer(out, ctypes.c_uint8),
-            )
-        return out
-
-    def packed_matmul(self, a_packed: np.ndarray,
-                      b_packed: np.ndarray) -> np.ndarray:
-        """``A @ B.T mod 2`` (uint8) from row-packed operands."""
-        a_packed = _as_words(a_packed)
-        b_packed = _as_words(b_packed)
-        if a_packed.ndim != 2 or b_packed.ndim != 2:
-            raise ValueError("packed_matmul expects 2-D packed operands")
-        if a_packed.shape[1] != b_packed.shape[1]:
-            raise ValueError("packed operands disagree on inner word count")
-        m, n = a_packed.shape[0], b_packed.shape[0]
-        out = np.zeros((m, n), dtype=np.uint8)
-        if m and n and a_packed.shape[1]:
-            self._lib.repro_packed_matmul(
-                _pointer(a_packed, ctypes.c_uint64),
-                _pointer(b_packed, ctypes.c_uint64),
-                ctypes.c_int64(m), ctypes.c_int64(n),
-                ctypes.c_int64(a_packed.shape[1]),
-                _pointer(out, ctypes.c_uint8),
-            )
-        return out
-
     def packed_matmul_words(self, a_packed: np.ndarray,
                             b_packed: np.ndarray) -> np.ndarray:
         """``A @ B.T mod 2`` with the result packed along the B rows."""

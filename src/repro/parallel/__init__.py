@@ -6,7 +6,10 @@ run, for any worker count.  :class:`ShardedExperiment` is the fused
 sample→decode pipeline: each worker samples its own shard (from a
 shard-indexed ``SeedSequence.spawn`` tree) and decodes it locally, so
 syndromes never cross a process boundary.  This is what
-:class:`~repro.core.memory.MemoryExperiment` runs on.  Every
+:class:`~repro.core.memory.MemoryExperiment` runs on.  A run's one
+picklable recipe is an :class:`ExperimentHandle` (matrices, priors,
+sampling method, backend and BP/OSD knobs), from which every worker
+rebuilds the decoder.  Every
 multi-worker run streams through a :class:`SharedPool` — one lent by
 the caller (a campaign shares one across all its sweeps) or one the
 experiment builds, owns and closes.
@@ -32,13 +35,12 @@ from repro.parallel.pipeline import (
     ShardedExperiment,
     circuit_fingerprint,
     handle_fingerprint,
+    resolve_workers,
     shard_layout,
     shard_seed_tree,
 )
-from repro.parallel.sharded import DecoderHandle, resolve_workers
 
 __all__ = [
-    "DecoderHandle",
     "ExperimentHandle",
     "FaultPlan",
     "InjectedFault",

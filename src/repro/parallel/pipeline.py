@@ -57,12 +57,13 @@ seed-tree child.
 
 Design
 ------
-* :class:`ExperimentHandle` is a picklable recipe for the whole
-  pipeline: the decoder recipe (:class:`~repro.parallel.sharded.DecoderHandle`
-  — check matrix, priors, BP/OSD knobs, backend), the observable
-  matrix, and the sampling method (``"phenomenological"`` samples
-  mechanism errors against the check matrix; ``"circuit"`` frame-
-  simulates a circuit shipped per operating point).
+* :class:`ExperimentHandle` is the one picklable recipe of a run: the
+  check and observable matrices, the default priors, the sampling
+  method (``"phenomenological"`` samples mechanism errors against the
+  check matrix; ``"circuit"`` frame-simulates a circuit shipped per
+  operating point), the backend and the BP/OSD knobs.  Any process
+  rebuilds the run's :class:`~repro.decoders.bposd.BPOSDDecoder` from
+  it.
 * Every multi-worker run streams through a :class:`SharedPool`: the
   caller's (a campaign's sweeps over different codes share **one**
   process pool), or one the :class:`ShardedExperiment` builds on its
@@ -93,6 +94,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import os
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
@@ -103,10 +105,10 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.core.phenomenological import sample_phenomenological_shard
 from repro.core.stats import PrecisionTarget, as_precision_target, binomial_interval
+from repro.decoders.bposd import BLOCK_SHOTS, BPOSDDecoder
 from repro.linalg.bitops import pack_bits, packed_matmul
 from repro.linalg.native import simulation_backend
 from repro.parallel.faults import active_plan, apply_task_fault
-from repro.parallel.sharded import DecoderHandle, resolve_workers
 from repro.sim.frame import sample_circuit_shard
 
 __all__ = [
@@ -117,9 +119,27 @@ __all__ = [
     "PipelineResult",
     "circuit_fingerprint",
     "handle_fingerprint",
+    "resolve_workers",
     "shard_layout",
     "shard_seed_tree",
 ]
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Normalise a ``workers=`` knob: ``None`` -> 1, ``0`` -> cpu_count.
+
+    ``None`` (the default everywhere) means "in-process, single core";
+    ``0`` asks for one worker per available core; any positive integer
+    is taken literally.  Negative values are rejected.
+    """
+    if workers is None:
+        return 1
+    workers = int(workers)
+    if workers < 0:
+        raise ValueError("workers must be >= 0 (0 = one per core) or None")
+    if workers == 0:
+        return os.cpu_count() or 1
+    return workers
 
 
 class PoolUnavailable(RuntimeError):
@@ -195,15 +215,13 @@ def handle_fingerprint(handle: "ExperimentHandle") -> str:
     (sha1 of the bytes, not ``hash()``), so parent and workers agree
     on which cached state a task addresses.
     """
-    decoder = handle.decoder
     hasher = hashlib.sha1()
     hasher.update(repr((
-        handle.method, decoder.backend, decoder.max_iterations,
-        decoder.osd_order, decoder.scaling_factor, decoder.block_shots,
-        decoder.factor_cache_size, decoder.check_matrix.shape,
+        handle.method, handle.backend, handle.max_iterations,
+        handle.osd_order, handle.check_matrix.shape,
         handle.observable_matrix.shape,
     )).encode())
-    hasher.update(np.ascontiguousarray(decoder.check_matrix).tobytes())
+    hasher.update(np.ascontiguousarray(handle.check_matrix).tobytes())
     hasher.update(np.ascontiguousarray(handle.observable_matrix).tobytes())
     return hasher.hexdigest()
 
@@ -283,29 +301,28 @@ class PipelineResult:
 class ExperimentHandle:
     """Picklable recipe for the fused sample→decode pipeline.
 
-    ``decoder`` carries the check matrix, priors and decoder knobs (and
-    the backend, which the sampling stage shares); ``observable_matrix``
-    maps corrections and true errors to logical observables; ``method``
-    selects the sampler: ``"phenomenological"`` draws mechanism errors
-    against the check matrix, ``"circuit"`` frame-simulates the circuit
-    shipped with each run.
+    ``check_matrix`` and ``priors`` define the decoding problem (the
+    priors are a run's default; a run may ship its own);
+    ``observable_matrix`` maps corrections and true errors to logical
+    observables; ``method`` selects the sampler: ``"phenomenological"``
+    draws mechanism errors against the check matrix, ``"circuit"``
+    frame-simulates the circuit shipped with each run.  ``backend``
+    (shared by the sampler and the decoder), ``max_iterations`` and
+    ``osd_order`` are :class:`~repro.decoders.bposd.BPOSDDecoder`'s
+    knobs, with its defaults.
     """
 
-    decoder: DecoderHandle
+    check_matrix: np.ndarray
     observable_matrix: np.ndarray
+    priors: np.ndarray
     method: str = "phenomenological"
+    backend: str = "packed"
+    max_iterations: int = 50
+    osd_order: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in ("phenomenological", "circuit"):
             raise ValueError("method must be 'phenomenological' or 'circuit'")
-
-    @property
-    def backend(self) -> str:
-        return self.decoder.backend
-
-    def build_state(self) -> "_PipelineState":
-        """Construct the per-process sampling + decoding state."""
-        return _PipelineState(self)
 
 
 class _PipelineState:
@@ -317,7 +334,11 @@ class _PipelineState:
 
     def __init__(self, handle: ExperimentHandle) -> None:
         self.handle = handle
-        self.decoder = handle.decoder.build()
+        self.decoder = BPOSDDecoder(
+            handle.check_matrix, handle.priors,
+            max_iterations=handle.max_iterations,
+            osd_order=handle.osd_order, backend=handle.backend,
+        )
         # ``"native"`` shares the packed sampling/projection path: the
         # native tier accelerates decoder kernels only, so both fast
         # backends sample identical bits (see linalg.native).
@@ -441,8 +462,7 @@ def _run_shard(handle: ExperimentHandle | None, handle_key: str,
     """
     apply_task_fault(fault)
     state = _cached(_STATE_CACHE, _STATE_CACHE_SIZE, "handle",
-                    handle_key, handle,
-                    build=lambda payload: payload.build_state())
+                    handle_key, handle, build=_PipelineState)
     if circuit_key is not None:
         circuit = _cached(_CIRCUIT_CACHE, _CIRCUIT_CACHE_SIZE,
                           "circuit", circuit_key, circuit)
@@ -555,11 +575,12 @@ class ShardedExperiment:
         per core).  Any value produces bit-identical results at fixed
         ``shard_shots``; with one worker no pool is created at all.
     shard_shots:
-        Shots per shard (default: the decoder's ``block_shots``).  Part
-        of the determinism key — changing it changes which seed-tree
-        child samples which shot, so compare runs at a fixed value.  It
-        is also the early-stop granularity: the stop rule is evaluated
-        once per folded shard.
+        Shots per shard (default:
+        :data:`~repro.decoders.bposd.BLOCK_SHOTS`).  Part of the
+        determinism key — changing it changes which seed-tree child
+        samples which shot, so compare runs at a fixed value.  It is
+        also the early-stop granularity: the stop rule is evaluated once
+        per folded shard.
     pool:
         Optional :class:`SharedPool` to stream through — the worker
         count then comes from the pool, and :meth:`close` leaves the
@@ -619,7 +640,7 @@ class ShardedExperiment:
         else:
             self.workers = resolve_workers(self.workers)
         if self.shard_shots is None:
-            self.shard_shots = self.handle.decoder.block_shots
+            self.shard_shots = BLOCK_SHOTS
         if self.shard_shots < 1:
             raise ValueError("shard_shots must be positive")
         if self.max_shard_retries is None:
@@ -634,7 +655,7 @@ class ShardedExperiment:
     def local_state(self) -> _PipelineState:
         """The in-process pipeline state (built on first use)."""
         if self._local is None:
-            self._local = self.handle.build_state()
+            self._local = _PipelineState(self.handle)
         return self._local
 
     # ------------------------------------------------------------------
@@ -642,7 +663,6 @@ class ShardedExperiment:
             circuit: Circuit | None = None,
             collect_errors: bool = False,
             target_precision: "float | PrecisionTarget | None" = None,
-            confidence: float = 0.95,
             prior_tally: tuple[int, int] = (0, 0)) -> PipelineResult:
         """Sample and decode up to ``shots`` shots, streamed across the pool.
 
@@ -666,10 +686,10 @@ class ShardedExperiment:
         run stops as soon as the *combined* tally meets the target.
         """
         if priors is None:
-            priors = self.handle.decoder.priors
+            priors = self.handle.priors
         priors = np.asarray(priors, dtype=float)
-        target = as_precision_target(target_precision, confidence=confidence)
-        report_confidence = target.confidence if target is not None else confidence
+        target = as_precision_target(target_precision)
+        report_confidence = target.confidence if target is not None else 0.95
         prior_failures, prior_shots = (int(prior_tally[0]),
                                        int(prior_tally[1]))
         if prior_failures < 0 or prior_shots < prior_failures:
@@ -735,10 +755,8 @@ class ShardedExperiment:
             if outcomes:
                 errors = np.concatenate([o[2] for o in outcomes])
             else:
-                errors = np.zeros(
-                    (0, self.handle.decoder.check_matrix.shape[1]),
-                    dtype=np.uint8,
-                )
+                errors = np.zeros((0, self.handle.check_matrix.shape[1]),
+                                  dtype=np.uint8)
         ci_low, ci_high = binomial_interval(
             prior_failures + failures, prior_shots + used_shots,
             report_confidence,

@@ -175,11 +175,6 @@ class QCCDDevice:
         self._occupancy[trap_id].append(ion)
         self._ion_location[ion] = trap_id
 
-    def remove_ion(self, ion: int) -> None:
-        location = self._ion_location.pop(ion, None)
-        if location is not None:
-            self._occupancy[location].remove(ion)
-
     def ion_location(self, ion: int) -> str:
         return self._ion_location[ion]
 

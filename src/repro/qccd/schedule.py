@@ -148,19 +148,6 @@ class CompiledSchedule:
             return 0.0
         return max(0.0, 1.0 - self.execution_time_us / serialized)
 
-    @property
-    def shuttle_time_us(self) -> float:
-        """Serialized time spent in shuttling operations."""
-        return sum(
-            op.unrolled_duration_us for op in self.operations
-            if op.kind in SHUTTLE_KINDS
-        )
-
-    @property
-    def gate_time_us(self) -> float:
-        """Serialized time spent in two-qubit gates and swaps."""
-        return self.total_duration(OpKind.GATE) + self.total_duration(OpKind.SWAP)
-
     def gate_count(self) -> int:
         return self.count(OpKind.GATE)
 

@@ -17,7 +17,7 @@ Figure 18 sensitivity study.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["OperationTimes", "SwapKind"]
 
@@ -137,15 +137,3 @@ class OperationTimes:
         return (
             self.split + self.move + self.junction_crossing(2) + self.merge
         )
-
-    # ------------------------------------------------------------------
-    def with_improvement(self, factor: float) -> "OperationTimes":
-        """Uniformly reduce gate and shuttling times by ``factor``."""
-        return replace(self, improvement_factor=factor)
-
-    def with_junction_improvement(self, factor: float) -> "OperationTimes":
-        """Reduce only junction crossing times by ``factor``."""
-        return replace(self, junction_improvement_factor=factor)
-
-    def with_swap_kind(self, kind: SwapKind) -> "OperationTimes":
-        return replace(self, swap_kind=kind)

@@ -31,8 +31,7 @@ from repro.campaign import (
     ResultStore,
     run_campaign,
 )
-from repro.parallel.pipeline import SharedPool
-from repro.parallel.sharded import resolve_workers
+from repro.parallel.pipeline import SharedPool, resolve_workers
 from repro.service.protocol import ProtocolError
 
 __all__ = ["JOB_STATES", "Job", "JobQueue"]

@@ -21,12 +21,10 @@ Stim/QuITS toolchain the paper uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit, Instruction
-from repro.linalg.bitops import pack_bits
 from repro.sim.frame import FrameSimulator, FaultInjection
 
 __all__ = [
@@ -215,11 +213,6 @@ class DemStructure:
     def num_mechanisms(self) -> int:
         return int(self.check_matrix.shape[1])
 
-    @cached_property
-    def packed_observable_matrix(self) -> np.ndarray:
-        """Observable matrix packed along mechanisms, computed once."""
-        return pack_bits(self.observable_matrix, axis=1)
-
     def priors_for(self, probabilities: np.ndarray) -> np.ndarray:
         """Merged per-column priors for one operating point.
 
@@ -323,10 +316,6 @@ class DemStructureCache:
         self.chunk_shots = int(chunk_shots)
         self.builds = 0
         self._structure: DemStructure | None = None
-
-    @property
-    def structure(self) -> DemStructure | None:
-        return self._structure
 
     def model_for(self, circuit: Circuit) -> DetectorErrorModel:
         """DEM of ``circuit``, reusing cached signatures when valid."""

@@ -504,9 +504,10 @@ def capped_spec(budget: int = 4000) -> CampaignSpec:
 
 class TestMidRunExternalAdoption:
     """The store is re-folded *before every allocation round*, not just
-    at campaign start — finals another process lands mid-run are
-    adopted instead of re-sampled (the ``repro serve`` + ``--join``
-    coexistence story)."""
+    at campaign start — finals that another plain run of the same spec
+    and budget lands mid-run are adopted instead of re-sampled.
+    ``--join`` workers key their records apart, so a plain run (a
+    served job) never uses theirs."""
 
     def test_refresh_adopts_rival_finals_mid_run(self, tmp_path):
         spec = capped_spec()
@@ -571,6 +572,23 @@ class TestMidRunExternalAdoption:
         assert result.shots_sampled == cold.shots_sampled
         assert [table.to_json() for table in result.tables] == \
             [table.to_json() for table in cold.tables]
+
+    def test_joined_finals_never_feed_a_plain_run(self, tmp_path):
+        # A joined worker's keys fold in the partitioned cap, pilot and
+        # a coordination marker, so a plain run on the same store file
+        # neither reuses nor adopts its finals.
+        spec = builtin_spec("ci_smoke")
+        path = tmp_path / "shared.jsonl"
+        run_campaign(spec, store=path, join=True, worker_id="a")
+        plain = run_campaign(spec, store=path)
+        assert plain.shots_reused == plain.shots_external == 0
+        finals = [record for record in ResultStore(path).records()
+                  if not record.get("partial")]
+        joined = {record["key"] for record in finals if "worker" in record}
+        plain_keys = {record["key"] for record in finals
+                      if "worker" not in record}
+        assert len(joined) == len(plain_keys) == plain.points_total
+        assert joined.isdisjoint(plain_keys)
 
     def test_before_round_spend_feeds_the_engine(self):
         """`before_round`'s return value is external spend: it counts

@@ -41,6 +41,7 @@ from repro.campaign.kinds import (
     kind_params,
     register_kind,
 )
+from repro.campaign.scenarios import generate_scenario, run_scenario
 from repro.codes import code_by_name
 from repro.core.codesign import codesign_by_name
 from repro.core.memory import MemoryExperiment
@@ -492,6 +493,31 @@ class TestStandaloneIsOneSweepCampaign:
                           max_shots=48, pilot_shots=48)
         campaign = _one_sweep_campaign(sweep, 2 * 48, workers)
         _assert_rows_match(standalone, campaign)
+
+
+class TestScenarioSweepReplays:
+    """A scenario sweep samples exactly what its scenario files replay."""
+
+    @pytest.mark.parametrize("knob", [{"method": "circuit"},
+                                      {"osd_order": 2}])
+    def test_unreplayable_knobs_rejected(self, knob):
+        # A scenario file records neither knob; run_scenario runs the
+        # phenomenological method at OSD-0.
+        with pytest.raises(ValueError, match="scenario sweep"):
+            SweepSpec(name="fuzz", kind="scenario_sweep", **knob)
+
+    def test_rows_equal_run_scenario_replays(self, tmp_path):
+        sweep = SweepSpec(name="fuzz", kind="scenario_sweep",
+                          params={"num_scenarios": 3, "shots": 48,
+                                  "scenario_seed": 11,
+                                  "failure_dir": str(tmp_path)})
+        table = _one_sweep_campaign(sweep, 3 * 48, workers=1)
+        replays = [run_scenario(generate_scenario(11, index, shots=48),
+                                target=sweep.target)
+                   for index in range(3)]
+        assert ([(row["failures"], row["shots_used"]) for row in table.rows]
+                == [(replay.failures, replay.shots) for replay in replays])
+        assert any(replay.failures for replay in replays)
 
 
 # ----------------------------------------------------------------------

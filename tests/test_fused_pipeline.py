@@ -11,6 +11,8 @@ sampling at all.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,9 @@ from repro.core.phenomenological import (
     build_phenomenological_model,
     sample_phenomenological_shard,
 )
+from repro.decoders.bposd import BPOSDDecoder
 from repro.noise import HardwareNoiseModel
 from repro.parallel import (
-    DecoderHandle,
     ExperimentHandle,
     SharedPool,
     ShardedExperiment,
@@ -52,10 +54,8 @@ def phen_model(bb72):
 
 def _phen_handle(model, **decoder_kwargs) -> ExperimentHandle:
     return ExperimentHandle(
-        decoder=DecoderHandle(model.check_matrix, model.priors,
-                              max_iterations=12, **decoder_kwargs),
-        observable_matrix=model.observable_matrix,
-        method="phenomenological",
+        model.check_matrix, model.observable_matrix, model.priors,
+        method="phenomenological", max_iterations=12, **decoder_kwargs,
     )
 
 
@@ -158,7 +158,8 @@ class TestFusedDeterminism:
         shots, shard_shots, seed = 220, 48, 7
         sizes = shard_layout(shots, shard_shots)
         seeds = shard_seed_tree(seed, len(sizes))
-        decoder = handle.decoder.build()
+        decoder = BPOSDDecoder(handle.check_matrix, handle.priors,
+                               max_iterations=handle.max_iterations)
         failures = 0
         errors_parts = []
         for size, shard_seed in zip(sizes, seeds):
@@ -184,10 +185,8 @@ class TestFusedDeterminism:
         from repro.sim import detector_error_model
         dem = detector_error_model(circuit)
         handle = ExperimentHandle(
-            decoder=DecoderHandle(dem.check_matrix, dem.priors,
-                                  max_iterations=12),
-            observable_matrix=dem.observable_matrix,
-            method="circuit",
+            dem.check_matrix, dem.observable_matrix, dem.priors,
+            method="circuit", max_iterations=12,
         )
         results = {
             w: self._run(handle, w, shots=130, shard_shots=32, seed=5,
@@ -203,11 +202,7 @@ class TestFusedDeterminism:
         """A sweep's re-prior must take effect inside a warm pool."""
         handle = _phen_handle(phen_model)
         hot_priors = np.clip(phen_model.priors * 2.0, 0.0, 0.4)
-        hot_handle = ExperimentHandle(
-            decoder=handle.decoder.with_priors(hot_priors),
-            observable_matrix=handle.observable_matrix,
-            method="phenomenological",
-        )
+        hot_handle = dataclasses.replace(handle, priors=hot_priors)
         fresh = self._run(hot_handle, workers=2)
         with ShardedExperiment(handle, workers=2,
                                shard_shots=48) as sharded:
@@ -230,18 +225,14 @@ class TestFusedDeterminism:
     def test_invalid_method_rejected(self, phen_model):
         with pytest.raises(ValueError):
             ExperimentHandle(
-                decoder=DecoderHandle(phen_model.check_matrix,
-                                      phen_model.priors),
-                observable_matrix=phen_model.observable_matrix,
-                method="analytic",
+                phen_model.check_matrix, phen_model.observable_matrix,
+                phen_model.priors, method="analytic",
             )
 
     def test_circuit_method_requires_circuit(self, phen_model):
         handle = ExperimentHandle(
-            decoder=DecoderHandle(phen_model.check_matrix,
-                                  phen_model.priors),
-            observable_matrix=phen_model.observable_matrix,
-            method="circuit",
+            phen_model.check_matrix, phen_model.observable_matrix,
+            phen_model.priors, method="circuit",
         )
         with ShardedExperiment(handle, workers=1) as sharded:
             with pytest.raises(ValueError, match="circuit"):

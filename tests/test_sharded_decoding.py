@@ -22,7 +22,6 @@ from repro.core.memory import MemoryExperiment
 from repro.core.phenomenological import build_phenomenological_model
 from repro.noise import HardwareNoiseModel
 from repro.parallel import (
-    DecoderHandle,
     ExperimentHandle,
     FaultPlan,
     PoolUnavailable,
@@ -47,9 +46,8 @@ def small_handle():
     model = build_phenomenological_model(code_by_name("repetition-d3"),
                                          noise, rounds=2)
     return ExperimentHandle(
-        decoder=DecoderHandle(model.check_matrix, model.priors,
-                              max_iterations=12),
-        observable_matrix=model.observable_matrix,
+        model.check_matrix, model.observable_matrix, model.priors,
+        max_iterations=12,
     )
 
 

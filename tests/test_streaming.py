@@ -33,7 +33,7 @@ from repro.core.phenomenological import build_phenomenological_model
 from repro.core.stats import PrecisionTarget
 from repro.core.sweep import allocate_shots, sweep_physical_error
 from repro.noise import HardwareNoiseModel
-from repro.parallel import DecoderHandle, ExperimentHandle, ShardedExperiment
+from repro.parallel import ExperimentHandle, ShardedExperiment
 from repro.parallel.pipeline import _PipelineState
 
 
@@ -50,10 +50,8 @@ def phen_model():
 
 def _phen_handle(model) -> ExperimentHandle:
     return ExperimentHandle(
-        decoder=DecoderHandle(model.check_matrix, model.priors,
-                              max_iterations=12),
-        observable_matrix=model.observable_matrix,
-        method="phenomenological",
+        model.check_matrix, model.observable_matrix, model.priors,
+        method="phenomenological", max_iterations=12,
     )
 
 
@@ -208,10 +206,8 @@ class TestWorkerCircuitCache:
         from repro.sim import detector_error_model
         dem = detector_error_model(circuit)
         handle = ExperimentHandle(
-            decoder=DecoderHandle(dem.check_matrix, dem.priors,
-                                  max_iterations=12),
-            observable_matrix=dem.observable_matrix,
-            method="circuit",
+            dem.check_matrix, dem.observable_matrix, dem.priors,
+            method="circuit", max_iterations=12,
         )
         return circuit, handle
 
