@@ -2,15 +2,19 @@
 """End-to-end CI smoke of the served campaign path (``repro serve``).
 
 Boots the real ``repro serve`` process on an ephemeral port and checks
-the three serving contracts over actual HTTP:
+the four serving contracts over actual HTTP:
 
-1. two *concurrent* submissions of the bundled ``ci_smoke`` campaign
+1. a spec that carries an execution setting (``shard_timeout`` on each
+   sweep of ``ci_smoke``) is rejected with 400 naming the key, and the
+   service keeps serving — execution settings belong to the service's
+   own pool, never to a submission;
+2. two *concurrent* submissions of the bundled ``ci_smoke`` campaign
    coalesce onto one job by content fingerprint — together they sample
    at most one cold run's shots;
-2. a resubmission after completion is a fresh job served from the
+3. a resubmission after completion is a fresh job served from the
    store: **zero** shots sampled, and a ``/tables`` body byte-identical
    to the cold job's;
-3. SIGTERM drains gracefully — exit code 0 with the drain log lines —
+4. SIGTERM drains gracefully — exit code 0 with the drain log lines —
    leaving a store a later run can resume.
 
 Run from the repository root (the ``service-smoke`` CI job does)::
@@ -32,6 +36,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.campaign import builtin_spec  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 
 
@@ -55,11 +60,20 @@ def main() -> int:
         client = ServiceClient(
             f"http://127.0.0.1:{int(port_file.read_text())}", timeout=30)
 
+        # 1. An execution setting in a submitted spec is a 400.
+        hostile = builtin_spec("ci_smoke").to_dict()
+        for sweep in hostile["sweeps"]:
+            sweep["shard_timeout"] = 1e-06
+        status, body = client.request("POST", "/jobs", hostile)
+        assert status == 400, (status, body)
+        assert b"shard_timeout" in body, body
+        print(f"execution setting rejected: {status} {body.decode()}")
+
         health = client.healthz()
         assert health["status"] == "serving", health
         assert client.specs()["specs"], "no builtin specs served"
 
-        # 1. Concurrent duplicate submissions coalesce (or, if the
+        # 2. Concurrent duplicate submissions coalesce (or, if the
         # first finishes before the second lands, the second reuses the
         # store) — either way the pair pays for at most one cold run.
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
@@ -84,7 +98,7 @@ def main() -> int:
               f"(one cold run: {cold_sampled})")
         cold_bytes = client.tables_bytes(a["job"])
 
-        # 2. Resubmission after completion: zero sampling, same bytes.
+        # 3. Resubmission after completion: zero sampling, same bytes.
         again = client.submit("ci_smoke")
         assert again["job"] not in finals, again
         warm = client.wait(again["job"], timeout=300)
@@ -97,7 +111,7 @@ def main() -> int:
               f"{warm['stats']['shots_reused']} reused, "
               "tables byte-identical")
 
-        # 3. Graceful SIGTERM drain.
+        # 4. Graceful SIGTERM drain.
         process.send_signal(signal.SIGTERM)
         output = process.communicate(timeout=120)[0]
         assert process.returncode == 0, output

@@ -477,7 +477,8 @@ class _PointRunner:
     ``shots_sampled`` counts fresh Monte-Carlo work, ``shots_replayed``
     stages served from checkpoints.  A context manager: closing it
     releases every experiment and the pool it built (``workers > 1``
-    and no lent ``pool``).
+    and no lent ``pool``).  ``shard_timeout`` and ``max_shard_retries``
+    configure that built pool only; a lent pool keeps its own settings.
     """
 
     def __init__(self, spec: CampaignSpec, store: ResultStore | None,
@@ -489,8 +490,6 @@ class _PointRunner:
         self.spec = spec
         self.store = store
         self.campaign_fp = campaign_fp
-        self.shard_timeout = shard_timeout
-        self.max_shard_retries = max_shard_retries
         self.provenance = provenance
         self.shots_sampled = 0
         self.shots_replayed = 0
@@ -499,12 +498,11 @@ class _PointRunner:
         self._experiments: dict = {}
         if pool is None and resolve_workers(workers) > 1:
             # Worker processes spawn on the first multi-shard run only.
-            # A run-level max_shard_retries also sizes the pool's
-            # lifetime rebuild budget (SharedPool's default otherwise).
             budget = ({} if max_shard_retries is None
                       else {"max_rebuilds": max_shard_retries})
-            pool = self._stack.enter_context(
-                SharedPool(resolve_workers(workers), **budget))
+            pool = self._stack.enter_context(SharedPool(
+                resolve_workers(workers), shard_timeout=shard_timeout,
+                **budget))
         self.pool = pool
 
     def __enter__(self) -> "_PointRunner":
@@ -524,18 +522,11 @@ class _PointRunner:
         experiment = self._experiments.get(key)
         if experiment is None:
             sweep = point.sweep
-            # The run-level overrides win over the sweep's knobs.
-            timeout = (self.shard_timeout if self.shard_timeout is not None
-                       else sweep.shard_timeout)
-            retries = (self.max_shard_retries
-                       if self.max_shard_retries is not None
-                       else sweep.max_shard_retries)
             experiment = self._stack.enter_context(MemoryExperiment(
                 code=point.code, rounds=point.rounds, basis=point.basis,
                 method=sweep.method, max_bp_iterations=point.max_bp_iterations,
                 osd_order=sweep.osd_order, backend=sweep.backend,
                 shard_shots=point.shard_shots, pool=self.pool,
-                shard_timeout=timeout, max_shard_retries=retries,
             ))
             self._experiments[key] = experiment
         return experiment
@@ -566,10 +557,8 @@ class _PointRunner:
                     "failures": failures, "shots": used,
                 })
                 return failures, used
-            # Allocation diverged (e.g. the log predates a spec-
-            # compatible change in execution knobs): drop the rest of
-            # the log and re-sample — stage seeds make that
-            # bit-identical anyway.
+            # Allocation diverged: drop the rest of the log and
+            # re-sample — stage seeds make that bit-identical anyway.
             point.replay = None
         result = self.experiment(point).run(
             point.physical_error_rate, point.round_latency_us,
@@ -755,7 +744,6 @@ class JoinedCampaign:
                  budget: int | None = None,
                  lease_ttl: float | None = None,
                  claim_batch: int | None = None,
-                 poll_interval: float | None = None,
                  shard_timeout: float | None = None,
                  max_shard_retries: int | None = None,
                  stop=None,
@@ -774,17 +762,11 @@ class JoinedCampaign:
         self.budget = int(budget) if budget is not None else spec.budget
         if self.budget < 1:
             raise ValueError("budget must be a positive shot count")
-        ttl = (float(lease_ttl) if lease_ttl is not None
-               else spec.lease_ttl if spec.lease_ttl is not None else 60.0)
-        batch = (int(claim_batch) if claim_batch is not None
-                 else spec.claim_batch if spec.claim_batch is not None
-                 else 2)
-        if batch < 1:
+        ttl = 60.0 if lease_ttl is None else float(lease_ttl)
+        self.claim_batch = 2 if claim_batch is None else int(claim_batch)
+        if self.claim_batch < 1:
             raise ValueError("claim batch must be positive")
-        self.claim_batch = batch
-        self.poll_interval = (float(poll_interval)
-                              if poll_interval is not None
-                              else min(1.0, ttl / 3.0))
+        self.poll_interval = min(1.0, ttl / 3.0)
         self.stop = stop
         self.progress = progress
         self.clock = clock
@@ -981,7 +963,6 @@ def run_campaign(spec: CampaignSpec,
                  worker_id: "WorkerIdentity | str | None" = None,
                  lease_ttl: float | None = None,
                  claim_batch: int | None = None,
-                 poll_interval: float | None = None,
                  progress=None,
                  pool: "SharedPool | None" = None) -> CampaignResult:
     """Run (or resume) a campaign under its global shot budget.
@@ -1001,11 +982,13 @@ def run_campaign(spec: CampaignSpec,
     the paper's shots (the override participates in the store key:
     runs at different budgets never cross-contaminate).
 
-    ``shard_timeout`` / ``max_shard_retries`` override every sweep's
-    fault-tolerance knobs for this run (see
-    :class:`~repro.campaign.spec.SweepSpec`; excluded from the store
-    key); ``max_shard_retries`` also sets the lifetime rebuild budget
-    of the pool the run builds (default 2).  ``stop`` is an optional
+    ``shard_timeout`` (default: wait forever) and
+    ``max_shard_retries`` (default 2) are the per-shard deadline and
+    the lifetime rebuild budget of the pool the run builds (see
+    :class:`~repro.parallel.pipeline.SharedPool`); a lent ``pool``
+    keeps its own.  Like every execution setting they are run
+    arguments, never spec keys, so they never reach the store key and
+    results are bit-identical under any value.  ``stop`` is an optional
     zero-argument callable polled between units of work; once it
     returns true the campaign flushes everything finalised, releases
     the pool and raises :class:`CampaignInterrupted` — the CLI wires
@@ -1014,14 +997,15 @@ def run_campaign(spec: CampaignSpec,
     ``join=True`` switches to multi-host mode (see
     :class:`JoinedCampaign`): this process becomes one worker among
     possibly many sharing ``store``, claiming points under leases of
-    ``lease_ttl`` seconds (renewed while sampling), ``claim_batch`` at
-    a time, polling every ``poll_interval`` seconds while rivals hold
-    live leases.  ``worker_id`` labels this worker (a
-    ``host:pid:token`` triple, or any string used as the host label of
-    a generated identity).  The budget is statically partitioned per
-    point, so joined tables are bit-identical for any number of
-    workers — but differ from a non-joined run of the same spec (the
-    store keys differ too, so the two modes never cross-contaminate).
+    ``lease_ttl`` seconds (default 60; renewed while sampling),
+    ``claim_batch`` at a time (default 2), polling every
+    ``min(1, lease_ttl / 3)`` seconds while rivals hold live leases.
+    ``worker_id`` labels this worker (a ``host:pid:token`` triple, or
+    any string used as the host label of a generated identity).  The
+    budget is statically partitioned per point, so joined tables are
+    bit-identical for any number of workers — but differ from a
+    non-joined run of the same spec (the store keys differ too, so the
+    two modes never cross-contaminate).
 
     ``progress`` is an optional callback receiving a JSON-safe
     snapshot dict (see :func:`_progress_snapshot`) after the reuse
@@ -1029,8 +1013,9 @@ def run_campaign(spec: CampaignSpec,
     completion — ``repro serve`` wires it to job status.  ``pool``
     lends an externally owned :class:`SharedPool` to the run (the
     service shares one pool across every job); the campaign then
-    neither creates nor closes a pool and sizes the experiments to
-    ``pool.workers``.
+    neither creates nor closes a pool, sizes the experiments to
+    ``pool.workers`` and recovers from faults under the pool's own
+    settings.
 
     A store shared with another live plain run of the *same spec and
     budget* is re-read before every allocation round: fresh points that
@@ -1054,7 +1039,7 @@ def run_campaign(spec: CampaignSpec,
         with JoinedCampaign(
                 spec, store, worker=worker, workers=workers, budget=budget,
                 lease_ttl=lease_ttl, claim_batch=claim_batch,
-                poll_interval=poll_interval, shard_timeout=shard_timeout,
+                shard_timeout=shard_timeout,
                 max_shard_retries=max_shard_retries, stop=stop,
                 progress=progress) as joined:
             return joined.run()

@@ -74,13 +74,6 @@ class SweepSpec:
     point (default: the whole global budget may concentrate on one
     point) and ``pilot_shots`` sizes the pilot pass (default: derived
     from the per-point budget share).
-
-    ``shard_timeout`` / ``max_shard_retries`` are *execution* knobs —
-    a per-shard wall-clock deadline and the pool respawn budget the
-    pipeline tolerates before degrading to in-process execution.  They
-    change how a run recovers from faults, never what it computes, so
-    they are deliberately excluded from the campaign fingerprint: a
-    store written with one retry policy resumes under any other.
     """
 
     name: str
@@ -103,16 +96,10 @@ class SweepSpec:
     pilot_shots: int | None = None
     max_bp_iterations: int = 40
     osd_order: int = 0
-    shard_timeout: float | None = None
-    max_shard_retries: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("every sweep needs a name")
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive")
-        if self.max_shard_retries is not None and self.max_shard_retries < 0:
-            raise ValueError("max_shard_retries must be non-negative")
         if self.method not in ("phenomenological", "circuit"):
             raise ValueError("method must be 'phenomenological' or 'circuit'")
         if self.backend not in BACKENDS:
@@ -149,12 +136,6 @@ class SweepSpec:
             "max_bp_iterations": self.max_bp_iterations,
             "osd_order": self.osd_order,
         }
-        # Execution-only knobs: serialised only when set, and stripped
-        # again by CampaignSpec.fingerprint() — see the class docstring.
-        if self.shard_timeout is not None:
-            payload["shard_timeout"] = self.shard_timeout
-        if self.max_shard_retries is not None:
-            payload["max_shard_retries"] = self.max_shard_retries
         if self.kind == "physical_error":
             payload["codesign"] = self.codesign
             payload["physical_error_rates"] = list(self.physical_error_rates)
@@ -172,7 +153,6 @@ class SweepSpec:
             "codesigns", "physical_error_rate", "params", "target",
             "rounds", "method", "basis", "backend", "shard_shots",
             "max_shots", "pilot_shots", "max_bp_iterations", "osd_order",
-            "shard_timeout", "max_shard_retries",
         }
         unknown = set(payload) - known
         if unknown:
@@ -205,12 +185,10 @@ class CampaignSpec:
     order, which is what lets the result store resume a campaign
     bit-identically.
 
-    ``lease_ttl`` / ``claim_batch`` are *execution* knobs for joined
-    (multi-host) runs — the lease heartbeat deadline and how many
-    points a worker claims per scheduling pass.  Like the sweeps'
-    fault-tolerance knobs they are excluded from :meth:`fingerprint`:
-    they shape coordination, never tallies, so stores written under
-    one TTL resume under any other.
+    A spec says only what to estimate.  How one host runs it — shard
+    deadline, pool rebuild budget, lease TTL, claim batch — is set on
+    the run (:func:`~repro.campaign.orchestrator.run_campaign` and the
+    ``repro campaign`` flags), so no spec key can carry it.
     """
 
     name: str
@@ -218,8 +196,6 @@ class CampaignSpec:
     budget: int
     seed: int = 0
     description: str = ""
-    lease_ttl: float | None = None
-    claim_batch: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -228,10 +204,6 @@ class CampaignSpec:
             raise ValueError("a campaign needs at least one sweep")
         if self.budget < 1:
             raise ValueError("budget must be a positive shot count")
-        if self.lease_ttl is not None and self.lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
-        if self.claim_batch is not None and self.claim_batch < 1:
-            raise ValueError("claim_batch must be positive")
         names = [sweep.name for sweep in self.sweeps]
         if len(set(names)) != len(names):
             raise ValueError("sweep names must be unique within a campaign")
@@ -247,23 +219,18 @@ class CampaignSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "name": self.name,
             "description": self.description,
             "budget": self.budget,
             "seed": self.seed,
             "sweeps": [sweep.to_dict() for sweep in self.sweeps],
         }
-        if self.lease_ttl is not None:
-            payload["lease_ttl"] = self.lease_ttl
-        if self.claim_batch is not None:
-            payload["claim_batch"] = self.claim_batch
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
         unknown = set(payload) - {"name", "description", "budget", "seed",
-                                  "sweeps", "lease_ttl", "claim_batch"}
+                                  "sweeps"}
         if unknown:
             raise ValueError(f"unknown campaign keys {sorted(unknown)}")
         for key in ("name", "budget", "sweeps"):
@@ -273,16 +240,12 @@ class CampaignSpec:
             sweep if isinstance(sweep, SweepSpec) else SweepSpec.from_dict(sweep)
             for sweep in payload["sweeps"]
         )
-        lease_ttl = payload.get("lease_ttl")
-        claim_batch = payload.get("claim_batch")
         return cls(
             name=str(payload["name"]),
             description=str(payload.get("description", "")),
             budget=int(payload["budget"]),
             seed=int(payload.get("seed", 0)),
             sweeps=sweeps,
-            lease_ttl=float(lease_ttl) if lease_ttl is not None else None,
-            claim_batch=int(claim_batch) if claim_batch is not None else None,
         )
 
     def to_json(self) -> str:
@@ -304,16 +267,6 @@ class CampaignSpec:
         payload = self.to_dict()
         if budget is not None:
             payload["budget"] = int(budget)
-        # Fault-tolerance knobs shape recovery, not results (recovery is
-        # bit-identical by construction), so a store written with one
-        # retry policy must resume under any other.
-        for sweep_payload in payload["sweeps"]:
-            sweep_payload.pop("shard_timeout", None)
-            sweep_payload.pop("max_shard_retries", None)
-        # Likewise the multi-host lease knobs: coordination cadence
-        # never changes a tally.
-        payload.pop("lease_ttl", None)
-        payload.pop("claim_batch", None)
         return fingerprint(payload)
 
 

@@ -163,10 +163,6 @@ class Circuit:
     def num_observables(self) -> int:
         return (max(self._observables) + 1) if self._observables else 0
 
-    @property
-    def num_ticks(self) -> int:
-        return sum(1 for ins in self.instructions if ins.name == "TICK")
-
     def count(self, name: str) -> int:
         """Number of instructions with the given name."""
         return sum(1 for ins in self.instructions if ins.name == name)
@@ -185,14 +181,6 @@ class Circuit:
             else:
                 total += len(ins.targets)
         return total
-
-    def noise_instructions(self) -> list[tuple[int, Instruction]]:
-        """All noise instructions with their positions (including noisy measurements)."""
-        found = []
-        for idx, ins in enumerate(self.instructions):
-            if ins.is_noise or (ins.is_measurement and ins.argument > 0):
-                found.append((idx, ins))
-        return found
 
     def without_noise(self) -> "Circuit":
         """A copy of this circuit with every noise channel removed.

@@ -248,14 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
         help="per-shard wall-clock deadline: a shard that exceeds it "
              "triggers a pool respawn and a deterministic re-run of the "
-             "lost shards (default: wait forever); overrides the "
-             "sweeps' own knob and never enters the store key",
+             "lost shards (default: wait forever); never enters the "
+             "store key",
     )
     campaign_parser.add_argument(
         "--max-shard-retries", type=int, default=None, metavar="N",
-        help="pool respawn/resubmit rounds tolerated per run before "
-             "degrading to in-process execution (default 3; results "
-             "are bit-identical either way)",
+        help="lifetime respawn budget of the campaign's worker pool; "
+             "once it is spent the remaining shards run in-process "
+             "(default 2; results are bit-identical either way)",
     )
     campaign_parser.add_argument(
         "--fault-plan", default=None, metavar="JSON|@PATH",
@@ -283,14 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--lease-ttl", type=float, default=None, metavar="SECONDS",
         help="lease heartbeat deadline for --join: a lease not renewed "
-             "for this long may be reclaimed by any worker (default: "
-             "the spec's lease_ttl, else 60); execution-only — never "
-             "enters the store key",
+             "for this long may be reclaimed by any worker (default "
+             "60); execution-only — never enters the store key",
     )
     campaign_parser.add_argument(
         "--claim-batch", type=int, default=None, metavar="N",
         help="points a joined worker claims per scheduling pass "
-             "(default: the spec's claim_batch, else 2)",
+             "(default 2)",
     )
 
     serve_parser = subparsers.add_parser(

@@ -145,12 +145,6 @@ class CSSCode:
         return int(self.hz.sum(axis=1).max())
 
     @cached_property
-    def max_qubit_degree(self) -> int:
-        """Maximum number of stabilizers any single data qubit touches."""
-        degree = self.hx.sum(axis=0) + self.hz.sum(axis=0)
-        return int(degree.max()) if degree.size else 0
-
-    @cached_property
     def total_cnot_count(self) -> int:
         """Total number of data-ancilla CNOTs in one syndrome extraction round."""
         return int(self.hx.sum() + self.hz.sum())
@@ -186,11 +180,6 @@ class CSSCode:
         """Whether a Z-type residual error flips some logical X observable."""
         z_error = gf2_matrix(z_error).reshape(-1)
         return bool(((self.logical_x @ z_error) % 2).any())
-
-    def z_syndrome(self, x_error: np.ndarray) -> np.ndarray:
-        """Syndrome of an X error pattern measured by the Z stabilizers."""
-        x_error = gf2_matrix(x_error).reshape(-1)
-        return (self.hz @ x_error) % 2
 
     # ------------------------------------------------------------------
     # Distance estimation

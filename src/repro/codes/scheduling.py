@@ -111,15 +111,6 @@ class StabilizerSchedule:
                 expected.add((offset + z_idx, data))
         return seen == expected
 
-    def gates_for_stabilizer(self, stabilizer: int) -> list[tuple[int, ScheduledGate]]:
-        """All gates for a stabilizer as ``(timeslice_index, gate)`` pairs."""
-        found = []
-        for t, slice_ in enumerate(self.timeslices):
-            for gate in slice_:
-                if gate.stabilizer == stabilizer:
-                    found.append((t, gate))
-        return found
-
 
 def _all_gates(code: CSSCode) -> list[ScheduledGate]:
     """Every CNOT of a syndrome extraction round, X stabilizers first."""

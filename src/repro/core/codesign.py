@@ -41,21 +41,6 @@ class Codesign:
         """Compile one round of syndrome extraction for ``code``."""
         return self.compiler.compile(code, schedule)
 
-    def with_times(self, times: OperationTimes) -> "Codesign":
-        """The same codesign with different operation timing constants."""
-        return replace(self, compiler=replace(self.compiler, times=times))
-
-    def spatial_summary(self, compiled: CompiledSchedule) -> dict[str, float]:
-        """Spatial cost figures extracted from a compiled schedule."""
-        metadata = compiled.metadata
-        return {
-            "num_traps": float(metadata.get("num_traps", 0)),
-            "num_junctions": float(metadata.get("num_junctions", 0)),
-            "num_ancilla": float(metadata.get("num_ancilla", 0)),
-            "dac_count": float(metadata.get("dac_count", 0)),
-            "trap_capacity": float(metadata.get("trap_capacity", 0)),
-        }
-
 
 _FACTORIES = {
     "baseline": lambda: Codesign(

@@ -198,14 +198,9 @@ class MemoryExperiment:
         the pipeline on — one process pool shared across several
         experiments (a campaign's sweeps).  Overrides ``workers`` with
         the pool's worker count; the pool is owned by the caller and
-        survives :meth:`close`.
-    shard_timeout, max_shard_retries:
-        Fault-tolerance knobs forwarded to the pipeline
-        (:class:`~repro.parallel.pipeline.ShardedExperiment`): a
-        per-shard wall-clock deadline, and how many pool
-        respawn/resubmit rounds one run tolerates before degrading to
-        in-process execution.  Recovery re-runs lost shards from their
-        original seed-tree children, so results stay bit-identical.
+        survives :meth:`close`.  The pool carries the fault-recovery
+        settings (shard deadline, rebuild budget); without one,
+        ``workers > 1`` builds a pool with ``SharedPool``'s defaults.
     """
 
     code: CSSCode
@@ -219,8 +214,6 @@ class MemoryExperiment:
     workers: int = 1
     shard_shots: int | None = None
     pool: SharedPool | None = None
-    shard_timeout: float | None = None
-    max_shard_retries: int | None = None
 
     def __post_init__(self) -> None:
         if self.method not in ("phenomenological", "circuit"):
@@ -343,8 +336,6 @@ class MemoryExperiment:
             self._pipeline = ShardedExperiment(
                 handle, workers=self.workers, shard_shots=self.shard_shots,
                 pool=self.pool,
-                shard_timeout=self.shard_timeout,
-                max_shard_retries=self.max_shard_retries,
             )
         return self._pipeline
 

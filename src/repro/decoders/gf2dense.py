@@ -59,12 +59,6 @@ class PackedGF2Matrix:
         self.factor_cache_hits = 0
         self.factor_cache_builds = 0
 
-    def column_bit(self, rows: np.ndarray, column: int) -> np.ndarray:
-        """Bit values of ``column`` for the given row indices."""
-        byte_index = column // 8
-        shift = 7 - (column % 8)
-        return (self._packed[rows, byte_index] >> shift) & 1
-
     # ------------------------------------------------------------------
     @staticmethod
     def _order_key(column_order: np.ndarray) -> bytes:

@@ -484,18 +484,26 @@ class SharedPool:
     Use as a context manager, or call :meth:`close`, to shut it down.
     An experiment given no pool builds and owns one of its own.
 
-    The pool is **self-healing**: when a worker dies (``os._exit``,
-    OOM kill, segfault) the executor breaks, and :meth:`rebuild`
-    respawns it — up to ``max_rebuilds`` times over the pool's
-    lifetime, after which the pool is marked :attr:`failed` and every
-    experiment bound to it degrades to in-process execution (results
-    stay bit-identical; only the wall clock suffers).
+    The pool owns the fault-recovery settings of every run streamed
+    through it.  It is **self-healing**: when a worker dies
+    (``os._exit``, OOM kill, segfault) or a shard is still pending
+    ``shard_timeout`` seconds after submission (``None``: wait
+    forever), the run calls :meth:`rebuild`, which respawns the
+    executor — up to ``max_rebuilds`` times over the pool's lifetime,
+    after which the pool is marked :attr:`failed` and every experiment
+    bound to it degrades to in-process execution (results stay
+    bit-identical; only the wall clock suffers).
     """
 
-    def __init__(self, workers: int | None = None,
-                 max_rebuilds: int = 2) -> None:
+    def __init__(self, workers: int | None = None, max_rebuilds: int = 2,
+                 shard_timeout: float | None = None) -> None:
+        if max_rebuilds < 0:
+            raise ValueError("max_rebuilds must be non-negative")
+        if shard_timeout is not None and shard_timeout <= 0:
+            raise ValueError("shard_timeout must be positive (or None)")
         self.workers = resolve_workers(workers)
         self.max_rebuilds = int(max_rebuilds)
+        self.shard_timeout = shard_timeout
         self.rebuilds = 0
         self._executor = None
         self._failed = False
@@ -587,30 +595,18 @@ class ShardedExperiment:
         pool running (it is owned by the caller, typically a campaign
         spanning several experiments).  Without one, the first
         multi-shard run with ``workers > 1`` builds an owned
-        ``SharedPool(workers, max_rebuilds=max_shard_retries)`` and
-        :meth:`close` shuts it down.  Results are bit-identical either
-        way.
-    shard_timeout:
-        Optional per-shard wall-clock limit (seconds).  A shard still
-        pending past its deadline is treated exactly like a pool
-        failure: the executor is rebuilt and the lost shards re-run
-        with the same seed-tree children.  ``None`` (default) never
-        times out — set it well above the slowest honest shard.
-    max_shard_retries:
-        How many pool failures (worker death / timeout) one :meth:`run`
-        tolerates before degrading to in-process execution (default 3).
-        An owned pool's rebuild budget is the same number, spent over
-        the experiment's whole life: once a run gives up, the pool is
-        marked failed and later runs go straight in-process.
+        ``SharedPool(workers)`` and :meth:`close` shuts it down.
+        Results are bit-identical either way.
 
     Fault tolerance: a dead worker breaks the whole
     ``ProcessPoolExecutor``; the run detects it (``BrokenExecutor`` or
-    a ``shard_timeout`` expiry), respawns it with ``pool.rebuild()``,
-    and re-submits every lost shard with its payload re-attached.  The
-    retried shards run the identical ``(priors, seed, shots)``, and
-    folds stay in shard-index order, so **results under any fault
-    schedule are bit-identical to the fault-free run**.  When the pool
-    cannot be rebuilt the remaining shards run in-process
+    an expired ``pool.shard_timeout``), respawns it with
+    ``pool.rebuild()``, and re-submits every lost shard with its
+    payload re-attached.  The retried shards run the identical
+    ``(priors, seed, shots)``, and folds stay in shard-index order, so
+    **results under any fault schedule are bit-identical to the
+    fault-free run**.  Once the pool's lifetime rebuild budget is
+    spent the remaining shards run in-process
     (``last_run_stats["local_fallback"]``).
 
     The pool spawns its workers on the first multi-shard run and is
@@ -625,8 +621,6 @@ class ShardedExperiment:
     workers: int | None = None
     shard_shots: int | None = None
     pool: SharedPool | None = None
-    shard_timeout: float | None = None
-    max_shard_retries: int | None = None
     last_run_stats: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
     _owns_pool: bool = field(default=False, init=False, repr=False)
@@ -643,12 +637,6 @@ class ShardedExperiment:
             self.shard_shots = BLOCK_SHOTS
         if self.shard_shots < 1:
             raise ValueError("shard_shots must be positive")
-        if self.max_shard_retries is None:
-            self.max_shard_retries = 3
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive (or None)")
-        if self.max_shard_retries < 0:
-            raise ValueError("max_shard_retries must be non-negative")
 
     # ------------------------------------------------------------------
     @property
@@ -773,11 +761,9 @@ class ShardedExperiment:
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> SharedPool:
         """The pool to stream through: the caller's, or one built (and
-        owned) on first use, whose lifetime rebuild budget is
-        ``max_shard_retries``."""
+        owned) on first use."""
         if self.pool is None:
-            self.pool = SharedPool(self.workers,
-                                   max_rebuilds=self.max_shard_retries)
+            self.pool = SharedPool(self.workers)
             self._owns_pool = True
         return self.pool
 
@@ -918,9 +904,8 @@ class _PoolWindow:
             self._recover(index)
             return
         self.pending[future] = index
-        if self.experiment.shard_timeout is not None:
-            self.deadlines[future] = (monotonic()
-                                      + self.experiment.shard_timeout)
+        if self.pool.shard_timeout is not None:
+            self.deadlines[future] = monotonic() + self.pool.shard_timeout
 
     def _collect(self) -> None:
         """Wait for the first completion, or for the tightest shard
@@ -967,25 +952,17 @@ class _PoolWindow:
         workers' empty caches get the payloads re-shipped, so recovery
         is invisible to the folded result.  A fresh pool that breaks
         before every lost shard is back in flight costs one more
-        failure.  Raises :class:`PoolUnavailable` once the run's (or an
-        owned pool's lifetime) retry budget is spent.
+        failure.  Once the pool's lifetime rebuild budget is spent,
+        :meth:`SharedPool.rebuild` marks the pool failed (later runs go
+        straight in-process) and raises :class:`PoolUnavailable`.
         """
         stats = self.stats
-        experiment = self.experiment
         stats["pool_failures"] += 1
-        # An owned pool's rebuild budget is max_shard_retries, so its
-        # rebuild() raises below instead — and marks the pool failed,
-        # which sends later runs straight in-process.
-        if (not experiment._owns_pool
-                and stats["pool_failures"] > experiment.max_shard_retries):
-            raise PoolUnavailable(
-                f"worker pool failed {stats['pool_failures']} times "
-                f"(max_shard_retries={experiment.max_shard_retries})")
         requeue = (set(also_lost) | set(self.lost)
                    | set(self.pending.values()))
         self.cancel()
         self.executor = self.pool.rebuild()
-        self.payload_quota = experiment.workers
+        self.payload_quota = self.experiment.workers
         self.reship.clear()
         self.lost = sorted(requeue)
         stats["shards_resubmitted"] += len(requeue)

@@ -271,16 +271,6 @@ class QCCDDevice:
             self._traps_by_distance[node_id] = order
         return order
 
-    def path_junction_degrees(self, path: list[str]) -> list[int]:
-        """Degrees of the junctions traversed by a node path."""
-        return [
-            self.graph.degree[node] for node in path if self.is_junction(node)
-        ]
-
-    def path_intermediate_traps(self, path: list[str]) -> list[str]:
-        """Traps strictly inside a node path (potential roadblocks)."""
-        return [node for node in path[1:-1] if self.is_trap(node)]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QCCDDevice({self.name}, traps={self.num_traps}, "

@@ -40,9 +40,6 @@ class QubitPlacement:
     def trap_of(self, qubit: int) -> str:
         return self.qubit_to_trap[qubit]
 
-    def qubits_in(self, trap_id: str) -> list[int]:
-        return [q for q, t in self.qubit_to_trap.items() if t == trap_id]
-
     def occupancy(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for trap in self.qubit_to_trap.values():

@@ -61,10 +61,6 @@ class DetectorErrorModel:
     def num_observables(self) -> int:
         return int(self.observable_matrix.shape[0])
 
-    def expected_fault_count(self) -> float:
-        """Mean number of triggered mechanisms per shot."""
-        return float(self.priors.sum())
-
 
 @dataclass(frozen=True)
 class _ElementaryFault:

@@ -58,12 +58,6 @@ class SampleResult:
     def shots(self) -> int:
         return int(self.detectors.shape[0])
 
-    def logical_error_count(self) -> int:
-        """Number of shots where any observable flipped (no decoding)."""
-        if self.observables.size == 0:
-            return 0
-        return int(self.observables.any(axis=1).sum())
-
 
 @dataclass(frozen=True)
 class FaultInjection:

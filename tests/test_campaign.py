@@ -701,42 +701,25 @@ class TestPaperFiguresSpec:
                [t.to_json() for t in cold.tables]
 
 
-class TestExecutionKnobFingerprintStability:
-    """shard_timeout / max_shard_retries shape recovery, not results —
-    a store written under one retry policy must resume under any."""
+class TestExecutionSettingsAreNotSpecKeys:
+    """Shard deadline, rebuild budget, lease TTL and claim batch say how
+    one host runs a campaign, never what it computes, so they are run
+    arguments: a spec that carries one is rejected as unknown."""
 
-    def test_sweep_round_trips_the_knobs(self):
-        sweep = SweepSpec(
-            name="s", code="repetition-d3",
-            physical_error_rates=(1e-3,), rounds=2,
-            shard_timeout=30.0, max_shard_retries=5,
-        )
-        clone = SweepSpec.from_dict(sweep.to_dict())
-        assert clone.shard_timeout == 30.0
-        assert clone.max_shard_retries == 5
-        assert clone == sweep
+    @pytest.mark.parametrize("key, value", [
+        ("shard_timeout", 30.0), ("max_shard_retries", 5)])
+    def test_sweep_rejects_execution_keys(self, key, value):
+        payload = dict(name="s", code="repetition-d3",
+                       physical_error_rates=[1e-3], rounds=2)
+        with pytest.raises(ValueError, match=key):
+            SweepSpec.from_dict(dict(payload, **{key: value}))
 
-    def test_knobs_are_validated(self):
-        with pytest.raises(ValueError, match="shard_timeout"):
-            SweepSpec(name="s", code="repetition-d3",
-                      physical_error_rates=(1e-3,), shard_timeout=0.0)
-        with pytest.raises(ValueError, match="max_shard_retries"):
-            SweepSpec(name="s", code="repetition-d3",
-                      physical_error_rates=(1e-3,), max_shard_retries=-1)
-
-    def test_fingerprint_ignores_the_knobs(self):
-        def spec_with(**knobs):
-            return CampaignSpec(
-                name="fp", budget=100,
-                sweeps=(SweepSpec(name="s", code="repetition-d3",
-                                  physical_error_rates=(1e-3,), rounds=2,
-                                  **knobs),))
-        plain = spec_with()
-        assert (spec_with(shard_timeout=5.0,
-                          max_shard_retries=7).fingerprint()
-                == plain.fingerprint())
-        # ...while real spec changes still re-key the store.
-        assert spec_with().fingerprint(budget=200) != plain.fingerprint()
+    @pytest.mark.parametrize("key, value", [
+        ("lease_ttl", 5.0), ("claim_batch", 7)])
+    def test_campaign_rejects_execution_keys(self, key, value):
+        payload = builtin_spec("ci_smoke").to_dict()
+        with pytest.raises(ValueError, match=key):
+            CampaignSpec.from_dict(dict(payload, **{key: value}))
 
 
 class TestStoreCrashSafety:

@@ -64,20 +64,11 @@ class TestCircuitBookkeeping:
         circuit.tick()
         circuit.append("H", [0])
         assert circuit.count("TICK") == 2
-        assert circuit.num_ticks == 2
 
     def test_measure_in_x_basis_uses_mx(self):
         circuit = Circuit()
         circuit.measure([0], basis="X")
         assert circuit.instructions[-1].name == "MX"
-
-    def test_noise_instructions_include_noisy_measurements(self):
-        circuit = Circuit()
-        circuit.append("DEPOLARIZE1", [0], 0.01)
-        circuit.measure([0], flip_probability=0.02)
-        circuit.measure([1])
-        noisy = circuit.noise_instructions()
-        assert len(noisy) == 2
 
     def test_without_noise_strips_channels_and_flips(self):
         circuit = Circuit()

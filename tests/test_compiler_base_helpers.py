@@ -107,7 +107,7 @@ class TestRingRouting:
         tracker = ResourceTracker()
         traps = device.trap_ids()
         source, target = traps[0], traps[len(traps) // 2]
-        ion = placement.qubits_in(source)[0]
+        ion = device.ions_in(source)[0]
         compiler.shuttle_ion(compiled, device, tracker, ion, source, target,
                              0.0)
         transit_notes = [op.note for op in compiled.operations

@@ -646,15 +646,6 @@ class TestJoinedCampaign:
         with pytest.raises(ValueError, match="store"):
             run_campaign(tiny_spec(), join=True)
 
-    def test_lease_knobs_excluded_from_fingerprint(self):
-        spec = tiny_spec()
-        tweaked = CampaignSpec.from_dict(
-            dict(spec.to_dict(), lease_ttl=5.0, claim_batch=7))
-        assert tweaked.fingerprint() == spec.fingerprint()
-        assert tweaked.lease_ttl == 5.0 and tweaked.claim_batch == 7
-        round_tripped = CampaignSpec.from_json(tweaked.to_json())
-        assert round_tripped == tweaked
-
 
 # ----------------------------------------------------------------------
 STORE_KEYS = ("a", "b", "c")

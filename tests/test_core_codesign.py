@@ -15,7 +15,6 @@ from repro.core import (
     sweep_physical_error,
 )
 from repro.core.results import ResultTable
-from repro.qccd import OperationTimes
 from repro.qccd.compilers import CycloneCompiler
 
 
@@ -40,18 +39,11 @@ class TestCodesignRegistry:
         codesign = codesign_by_name("cyclone", num_traps=16)
         assert codesign.compiler.num_traps == 16
 
-    def test_with_times_propagates_to_compiler(self, bb72):
-        slow = codesign_by_name("cyclone")
-        fast = slow.with_times(OperationTimes(improvement_factor=0.5))
-        assert fast.compile(bb72).execution_time_us < \
-            slow.compile(bb72).execution_time_us
-
     def test_codesign_compile_and_spatial_summary(self, bb72):
         codesign = codesign_by_name("cyclone")
         compiled = codesign.compile(bb72)
-        summary = codesign.spatial_summary(compiled)
-        assert summary["num_traps"] == 36
-        assert summary["dac_count"] == 1
+        assert compiled.metadata["num_traps"] == 36
+        assert compiled.metadata["dac_count"] == 1
 
     def test_custom_codesign_wrapping(self, bb72):
         custom = Codesign(name="custom", compiler=CycloneCompiler(num_traps=9))

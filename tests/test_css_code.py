@@ -53,9 +53,6 @@ class TestParameters:
         assert surface_code_d3.max_z_weight == 4
         assert surface_code_d3.total_cnot_count == 24
 
-    def test_max_qubit_degree(self, surface_code_d3):
-        assert 2 <= surface_code_d3.max_qubit_degree <= 4
-
 
 class TestStabilizerSupports:
     def test_supports_match_parity_check(self):
@@ -94,12 +91,6 @@ class TestLogicalOperators:
 
 
 class TestSyndromesAndLogicalErrors:
-    def test_single_qubit_error_syndrome(self, surface_code_d3):
-        error = np.zeros(9, dtype=np.uint8)
-        error[4] = 1  # central qubit
-        syndrome = surface_code_d3.z_syndrome(error)
-        assert syndrome.sum() >= 1
-
     def test_stabilizer_is_not_logical_error(self, surface_code_d3):
         stabilizer = surface_code_d3.hz[0]
         assert not surface_code_d3.is_z_logical_error(stabilizer)

@@ -54,13 +54,6 @@ class TestPackedGF2Matrix:
             packed.gauss_jordan_solve(np.arange(2),
                                       np.array([1, 0], dtype=np.uint8))
 
-    def test_column_bit_extraction(self):
-        matrix = np.zeros((2, 12), dtype=np.uint8)
-        matrix[1, 9] = 1
-        packed = PackedGF2Matrix(matrix)
-        bits = packed.column_bit(np.array([0, 1]), 9)
-        assert bits.tolist() == [0, 1]
-
     @given(st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_random_consistent_systems(self, seed):

@@ -68,7 +68,6 @@ class TestSmallModels:
         circuit.detector([0])
         dem = detector_error_model(circuit)
         assert dem.num_mechanisms == 0
-        assert dem.expected_fault_count() == 0.0
 
     def test_invisible_faults_are_dropped(self):
         circuit = Circuit()

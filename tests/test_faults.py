@@ -193,8 +193,9 @@ class TestPipelineRecovery:
         assert not stats["local_fallback"]
 
     def test_shard_timeout_recovers_bit_identically(self, memory_reference):
-        got, stats = _run_memory(2, FaultPlan(delays={0: 5.0}),
-                                 shard_timeout=0.5)
+        with SharedPool(2, shard_timeout=0.5) as pool:
+            got, stats = _run_memory(2, FaultPlan(delays={0: 5.0}),
+                                     pool=pool)
         assert got == memory_reference
         assert stats["shard_timeouts"] >= 1
 
@@ -208,8 +209,7 @@ class TestPipelineRecovery:
         """Kill every submission: the dedicated pool cannot make
         progress, so the run must degrade to in-process execution —
         and still match the fault-free result exactly."""
-        got, stats = _run_memory(2, FaultPlan(kills=tuple(range(64))),
-                                 max_shard_retries=2)
+        got, stats = _run_memory(2, FaultPlan(kills=tuple(range(64))))
         assert got == memory_reference
         assert stats["local_fallback"]
         assert stats["pool_failures"] == 3  # retries + the final straw
@@ -223,12 +223,10 @@ class TestPipelineRecovery:
         assert not stats["local_fallback"]
 
     def test_invalid_knobs_rejected(self):
-        code = code_by_name("repetition-d3")
         with pytest.raises(ValueError, match="shard_timeout"):
-            _run_memory(2, shard_timeout=0.0)
-        with pytest.raises(ValueError, match="max_shard_retries"):
-            _run_memory(2, max_shard_retries=-1)
-        del code
+            SharedPool(2, shard_timeout=0.0)
+        with pytest.raises(ValueError, match="max_rebuilds"):
+            SharedPool(2, max_rebuilds=-1)
 
 
 class TestSharedPoolSelfHealing:
@@ -369,12 +367,24 @@ class TestCampaignFaultInvariance:
         assert respawns == [1, 2, 3, 4, 5]
         assert render(result) == render(reference)
 
-    def test_shard_timeout_knob_threads_through(self):
-        """A generous campaign-level shard_timeout must not perturb
-        results (the deadline machinery only engages on timeout)."""
+    def test_shard_timeout_knob_threads_through(self, monkeypatch):
+        """A run-level ``shard_timeout`` is the deadline of the pool the
+        campaign builds: one shard held past it costs exactly one
+        rebuild, and the tables equal the fault-free run's."""
         reference = self._reference(2)
-        result = run_campaign(tiny_spec(seed=2), shard_timeout=60.0,
-                              max_shard_retries=5)
+        respawns = []
+        real_rebuild = SharedPool.rebuild
+
+        def counting_rebuild(pool):
+            executor = real_rebuild(pool)
+            respawns.append(pool.rebuilds)
+            return executor
+
+        monkeypatch.setattr(SharedPool, "rebuild", counting_rebuild)
+        with activate(FaultPlan(delays={0: 5.0})):
+            result = run_campaign(tiny_spec(seed=2), workers=2,
+                                  shard_timeout=0.5)
+        assert respawns == [1]
         assert render(result) == render(reference)
 
 
@@ -398,7 +408,7 @@ class TestJoinedFaultConservation:
         with activate(None):
             finisher = run_campaign(tiny_spec(), join=True,
                                     worker_id="finisher", store=store,
-                                    lease_ttl=0.05, poll_interval=0.06)
+                                    lease_ttl=0.05)
         # The victim died before sampling anything under its claims, so
         # the finisher alone accounts for every shot; any checkpointed
         # stages replay rather than re-sample.
@@ -418,7 +428,7 @@ class TestJoinedFaultConservation:
         with activate(None):
             finisher = run_campaign(tiny_spec(), join=True,
                                     worker_id="finisher", store=store,
-                                    lease_ttl=0.05, poll_interval=0.06)
+                                    lease_ttl=0.05)
         assert (finisher.shots_sampled + finisher.shots_replayed
                 + finisher.shots_reused) == reference.shots_sampled
         assert render(finisher) == render(reference)
@@ -436,7 +446,7 @@ class TestJoinedFaultConservation:
         with activate(None):
             finisher = run_campaign(tiny_spec(), join=True,
                                     worker_id="finisher", store=store,
-                                    lease_ttl=0.05, poll_interval=0.06)
+                                    lease_ttl=0.05)
         assert (finisher.shots_sampled + finisher.shots_replayed
                 + finisher.shots_reused) == reference.shots_sampled
         assert render(finisher) == render(reference)

@@ -189,4 +189,3 @@ class TestFaultInjection:
         circuit = _simple_parity_circuit(measure_flip=0.5)
         result = FrameSimulator(circuit, seed=3).sample(64)
         assert result.shots == 64
-        assert 0 <= result.logical_error_count() <= 64

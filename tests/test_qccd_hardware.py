@@ -156,14 +156,6 @@ class TestDeviceModel:
         assert path[-1] == "T2,2"
         assert any(device.is_junction(node) for node in path[1:-1])
 
-    def test_path_helpers(self):
-        device = baseline_grid_device(num_data_qubits=9, trap_capacity=3)
-        path = device.shortest_path("T0,0", "T0,2")
-        degrees = device.path_junction_degrees(path)
-        assert all(2 <= d <= 4 for d in degrees)
-        intermediate = device.path_intermediate_traps(path)
-        assert "T0,0" not in intermediate and "T0,2" not in intermediate
-
     def test_chain_length_minimum_two(self):
         device = ring_device(num_traps=2, trap_capacity=5)
         trap = device.trap_ids()[0]

@@ -103,13 +103,6 @@ class TestSchedules:
         schedule = x_then_z_schedule(surface_code_d3)
         assert schedule.max_parallelism >= 2
 
-    def test_gates_for_stabilizer(self, surface_code_d3):
-        schedule = x_then_z_schedule(surface_code_d3)
-        gates = schedule.gates_for_stabilizer(0)
-        assert len(gates) == len(surface_code_d3.x_stabilizer_support(0))
-        timeslices = [t for t, _ in gates]
-        assert len(set(timeslices)) == len(timeslices)
-
 
 class TestParallelismBound:
     def test_speedup_greater_than_one(self, bb_72):

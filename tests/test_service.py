@@ -156,6 +156,24 @@ class TestProtocol:
         assert "invalid campaign spec" in excinfo.value.message
         assert "bogus_knob" in excinfo.value.message
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("shard_timeout", 1e-6, "sweep"),
+        ("max_shard_retries", 0, "sweep"),
+        ("lease_ttl", 1e-6, "campaign"),
+        ("claim_batch", 1, "campaign"),
+    ])
+    def test_execution_settings_in_a_spec_are_400(self, key, value, where):
+        """Execution settings belong to the service's own pool: a served
+        spec that names one is rejected, never run."""
+        doc = quick_doc()
+        target = doc["sweeps"][0] if where == "sweep" else doc
+        target[key] = value
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_submission(json.dumps(doc).encode())
+        assert excinfo.value.status == 400
+        assert "invalid campaign spec" in excinfo.value.message
+        assert key in excinfo.value.message
+
     def test_encode_json_is_canonical(self):
         assert encode_json({"b": 1, "a": [1, 2]}) == b'{"a":[1,2],"b":1}'
 

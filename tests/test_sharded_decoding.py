@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -138,8 +139,16 @@ class TestOwnedPool:
         with ShardedExperiment(small_handle, workers=2,
                                shard_shots=16) as sharded:
             warm = sharded.run(96, 5, collect_errors=True)
-            victim = next(iter(sharded.pool.executor._processes))
-            os.kill(victim, signal.SIGKILL)
+            executor = sharded.pool.executor
+            os.kill(next(iter(executor._processes)), signal.SIGKILL)
+            # Wait for the executor to mark itself broken; otherwise the
+            # surviving worker can finish every shard of the next run
+            # before the death is noticed.
+            deadline = time.monotonic() + 10.0
+            while not executor._broken:
+                assert time.monotonic() < deadline, \
+                    "the executor never noticed the killed worker"
+                time.sleep(0.01)
             recovered = sharded.run(96, 5, collect_errors=True)
             stats = dict(sharded.last_run_stats)
         assert warm.failures > 0
@@ -154,8 +163,7 @@ class TestOwnedPool:
         in-process without touching the dead pool again."""
         code = code_by_name("repetition-d3")
         with MemoryExperiment(code=code, rounds=2, workers=2,
-                              shard_shots=16,
-                              max_shard_retries=1) as experiment:
+                              shard_shots=16) as experiment:
             with activate(FaultPlan(kills=tuple(range(64)))):
                 first = experiment.run(3e-2, 100.0, shots=160, seed=5)
             first_stats = dict(experiment._pipeline.last_run_stats)
