@@ -701,6 +701,33 @@ class TestPaperFiguresSpec:
                [t.to_json() for t in cold.tables]
 
 
+class TestExecutionKnobFingerprintStability:
+    """shard_timeout / max_shard_retries shape recovery, not results —
+    a store written under one retry policy must resume under any."""
+
+    def test_knobs_are_validated(self, tmp_path):
+        store = tmp_path / "store.jsonl"
+        with pytest.raises(ValueError, match="shard_timeout"):
+            run_campaign(tiny_spec(), store=store, workers=2,
+                         shard_timeout=0.0)
+        with pytest.raises(ValueError, match="max_rebuilds"):
+            run_campaign(tiny_spec(), store=store, workers=2,
+                         max_shard_retries=-1)
+        # Rejected before any point was sampled.
+        assert ResultStore(store).records() == []
+
+    def test_fingerprint_ignores_the_knobs(self, tmp_path):
+        spec = tiny_spec()
+        store = tmp_path / "store.jsonl"
+        cold = run_campaign(spec, store=store, workers=2,
+                            shard_timeout=30.0, max_shard_retries=5)
+        warm = run_campaign(spec, store=store)
+        assert warm.shots_sampled == 0
+        assert warm.points_reused == warm.points_total
+        assert [t.to_json() for t in warm.tables] == \
+               [t.to_json() for t in cold.tables]
+
+
 class TestExecutionSettingsAreNotSpecKeys:
     """Shard deadline, rebuild budget, lease TTL and claim batch say how
     one host runs a campaign, never what it computes, so they are run

@@ -646,6 +646,18 @@ class TestJoinedCampaign:
         with pytest.raises(ValueError, match="store"):
             run_campaign(tiny_spec(), join=True)
 
+    def test_lease_knobs_excluded_from_fingerprint(self, tmp_path):
+        spec = tiny_spec()
+        store = tmp_path / "s.jsonl"
+        tweaked = run_campaign(spec, store=str(store), join=True,
+                               worker_id="one", lease_ttl=5.0,
+                               claim_batch=7)
+        plain = run_campaign(spec, store=str(store), join=True,
+                             worker_id="two")
+        assert tweaked.shots_sampled > 0
+        assert plain.shots_sampled == 0
+        assert render(plain) == render(tweaked)
+
 
 # ----------------------------------------------------------------------
 STORE_KEYS = ("a", "b", "c")

@@ -15,6 +15,7 @@ from repro.core import (
     sweep_physical_error,
 )
 from repro.core.results import ResultTable
+from repro.qccd import OperationTimes
 from repro.qccd.compilers import CycloneCompiler
 
 
@@ -38,6 +39,13 @@ class TestCodesignRegistry:
     def test_compiler_overrides_forwarded(self):
         codesign = codesign_by_name("cyclone", num_traps=16)
         assert codesign.compiler.num_traps == 16
+
+    def test_with_times_propagates_to_compiler(self, bb72):
+        slow = codesign_by_name("cyclone")
+        fast = codesign_by_name("cyclone",
+                                times=OperationTimes(improvement_factor=0.5))
+        assert fast.compile(bb72).execution_time_us < \
+            slow.compile(bb72).execution_time_us
 
     def test_codesign_compile_and_spatial_summary(self, bb72):
         codesign = codesign_by_name("cyclone")

@@ -91,6 +91,12 @@ class TestLogicalOperators:
 
 
 class TestSyndromesAndLogicalErrors:
+    def test_single_qubit_error_syndrome(self, surface_code_d3):
+        error = np.zeros(9, dtype=np.uint8)
+        error[4] = 1  # central qubit
+        syndrome = (surface_code_d3.hz @ error) % 2
+        assert syndrome.sum() >= 1
+
     def test_stabilizer_is_not_logical_error(self, surface_code_d3):
         stabilizer = surface_code_d3.hz[0]
         assert not surface_code_d3.is_z_logical_error(stabilizer)

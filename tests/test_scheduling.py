@@ -103,6 +103,14 @@ class TestSchedules:
         schedule = x_then_z_schedule(surface_code_d3)
         assert schedule.max_parallelism >= 2
 
+    def test_gates_for_stabilizer(self, surface_code_d3):
+        schedule = x_then_z_schedule(surface_code_d3)
+        timeslices = [t for t, slice_ in enumerate(schedule.timeslices)
+                      for gate in slice_ if gate.stabilizer == 0]
+        assert len(timeslices) == \
+            len(surface_code_d3.x_stabilizer_support(0))
+        assert len(set(timeslices)) == len(timeslices)
+
 
 class TestParallelismBound:
     def test_speedup_greater_than_one(self, bb_72):
