@@ -13,7 +13,8 @@ with the environment variables below:
 * ``REPRO_BENCH_SHOTS``  — shots per logical-error-rate point (default 150)
 * ``REPRO_BENCH_ROUNDS`` — syndrome-extraction rounds per shot (default 3)
 
-EXPERIMENTS.md records the budgets used for the committed reference run.
+docs/performance.md ("Paper-quality shot budgets") records the budgets
+for a paper-quality run.
 """
 
 from __future__ import annotations

@@ -557,7 +557,7 @@ def run_campaign_resume_comparison(budget: int) -> dict:
         for a, b in zip(cold.tables, resumed.tables)
     )
     return {
-        "description": f"ci_smoke campaign ({spec.num_points} points, "
+        "description": f"ci_smoke campaign ({cold.points_total} points, "
                        f"budget {budget}), cold vs store-resumed",
         "budget": budget,
         "cold_seconds": cold_seconds,

@@ -28,8 +28,9 @@ Memory" (HPCA 2026).  The library is organised bottom-up:
     curve, one global shot budget, one shared worker pool, and a
     resumable result store (``repro campaign paper_figures``).
 ``repro.analysis``
-    Higher-level analyses (parallelism bounds, sensitivity studies,
-    confusion matrix) used by the benchmark harness.
+    Higher-level analyses (parallelism bounds, confusion matrix, loop
+    splits) used by the benchmark harness; the sensitivity studies are
+    sweep kinds of ``repro.campaign``.
 
 Quick start::
 

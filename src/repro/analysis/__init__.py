@@ -1,9 +1,12 @@
 """Higher-level analyses used by the benchmark harness.
 
-Each function here computes the data behind one of the paper's analysis
-figures (speedup bars, confusion matrix, sensitivity sweeps, compiler
-comparison) and returns plain dictionaries / result tables so the
-benchmarks can print the same rows and series the paper plots.
+Each function here computes the data behind one of the paper's
+analysis figures that is not a sweep (speedup bars, confusion matrix,
+loop splits) and returns plain dictionaries / result tables so the
+benchmarks can print the same rows and series the paper plots.  The
+sensitivity figures (5, 9, 13, 17, 18, 20, 21) are registered sweep
+kinds: build a :class:`~repro.campaign.spec.SweepSpec` and run it with
+:func:`~repro.campaign.kinds.run_sweep_kind` or inside a campaign.
 """
 
 from repro.analysis.parallelism import (
@@ -11,15 +14,6 @@ from repro.analysis.parallelism import (
     speedup_table,
 )
 from repro.analysis.confusion import confusion_matrix
-from repro.analysis.sensitivity import (
-    junction_crossing_sensitivity,
-    trap_arrangement_sensitivity,
-    loose_capacity_sensitivity,
-    operation_time_sensitivity,
-    swap_kind_sensitivity,
-    depth_speedup_ler,
-)
-from repro.analysis.compilers import compiler_comparison
 from repro.analysis.loops import (
     stabilizer_connectivity_graph,
     independent_loop_partition,
@@ -35,11 +29,4 @@ __all__ = [
     "parallel_vs_serial_speedup",
     "speedup_table",
     "confusion_matrix",
-    "junction_crossing_sensitivity",
-    "trap_arrangement_sensitivity",
-    "loose_capacity_sensitivity",
-    "operation_time_sensitivity",
-    "swap_kind_sensitivity",
-    "depth_speedup_ler",
-    "compiler_comparison",
 ]

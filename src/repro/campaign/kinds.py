@@ -8,10 +8,8 @@ original two kinds (``physical_error``, ``architectures``) live here
 now, next to the migrated sensitivity studies (Figures 5, 9, 13, 17,
 18, 20, 21) and the randomized ``scenario_sweep`` fuzz kind, so one
 campaign spec (``paper_figures_full``) reproduces every figure table
-under one global shot budget with full store-resume — and the analysis
-wrappers (:mod:`repro.analysis.sensitivity`,
-:mod:`repro.analysis.compilers`) are thin shells over
-:func:`run_sweep_kind`.
+under one global shot budget with full store-resume, and
+:func:`run_sweep_kind` runs any one of them standalone.
 
 Registering a custom kind::
 
@@ -39,26 +37,27 @@ Execution paths
 The campaign orchestrator (:mod:`repro.campaign.orchestrator`) is the
 only code that samples a point.  A campaign drives every sweep's
 expansion through one global pilot/allocate/refine budget with
-store-resume; :func:`run_sweep_kind` runs one sweep standalone as a
-one-sweep campaign on no store, so its rows equal that campaign's rows
-(the seed rule is the orchestrator's).
+store-resume; :func:`run_sweep_kind` runs one sweep standalone at a
+fixed per-point budget as a one-sweep campaign on no store, so its rows
+equal that campaign's rows (the seed rule is the orchestrator's).  A
+sweep that should spend its shots adaptively, under a precision target,
+runs as a campaign.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.campaign.scenarios import (
     Scenario,
     build_scenario,
     generate_scenario,
 )
-from repro.codes import available_codes, code_by_name
+from repro.codes import available_codes
 from repro.codes.css import CSSCode
 from repro.core.codesign import available_codesigns, codesign_by_name
 from repro.core.results import ResultTable
-from repro.core.stats import as_precision_target
 from repro.decoders.bposd import BACKENDS
 from repro.qccd.compilers import CycloneCompiler, EJFGridCompiler
 from repro.qccd.timing import OperationTimes, SwapKind
@@ -145,10 +144,10 @@ class ExpandedPoint:
 class SweepKind:
     """A registered sweep kind: expansion, table shape, validation.
 
-    ``expand(sweep, code)`` produces the points; ``static_columns`` /
-    ``title`` shape the result table; ``count`` is the number of
-    *sampled* points (the campaign budget denominator) without running
-    anything.  ``sampled=False`` marks kinds whose tables are purely
+    ``expand(sweep, code)`` produces the points, once per run (its
+    *sampled* points are the campaign budget denominator);
+    ``static_columns`` / ``title`` shape the result table.
+    ``sampled=False`` marks kinds whose tables are purely
     compiled quantities (no Monte-Carlo column at all);
     ``needs_code=False`` frees the sweep from naming a registry code
     (``scenario_sweep`` generates its own).  ``validate`` runs at spec
@@ -162,7 +161,6 @@ class SweepKind:
     static_columns: Callable[[object], list[str]]
     title: Callable[[object], str]
     params: tuple[KindParam, ...] = ()
-    count: "Callable[[object], int] | None" = None
     sampled: bool = True
     needs_code: bool = True
     validate: "Callable[[object], None] | None" = None
@@ -227,48 +225,29 @@ def validate_sweep_names(sweep) -> None:
         kind.validate_names(sweep)
 
 
-def sweep_point_count(sweep) -> int:
-    """Number of sampled points the sweep expands to (budget denominator)."""
-    kind = kind_by_name(sweep.kind)
-    if kind.count is not None:
-        return kind.count(sweep)
-    if not kind.sampled:
-        return 0
-    return len(kind.expand(sweep, code_by_name(sweep.code)
-                           if kind.needs_code else None))
-
-
 # ----------------------------------------------------------------------
 # Standalone execution: a one-sweep campaign on no store.
 
 def run_sweep_kind(sweep, *, code: CSSCode | None = None, shots: int = 200,
-                   seed: int = 0, workers: int = 1, pool=None,
-                   target_precision=None,
-                   max_shots: int | None = None) -> ResultTable:
+                   seed: int = 0, workers: int = 1) -> ResultTable:
     """Run one sweep standalone, as a one-sweep campaign on no store.
 
-    ``code`` overrides the registry lookup of ``sweep.code`` (the
-    analysis wrappers pass their caller's code object through, so
-    non-registry codes keep working).  Without ``target_precision``
-    every sampled point runs ``shots`` shots (a kind's own pin, such as
-    a scenario's shot count, wins); with it the campaign's
-    pilot/allocate/refine loop spends ``shots`` per point on average,
-    ``max_shots`` capping any one point.  ``pool`` shares one worker
-    pool across sweeps.  Points carrying an :class:`OracleCheck` are
-    re-run on the reference backend and must match bit for bit
+    Every sampled point runs ``shots`` shots (a kind's own pin, such as
+    a scenario's shot count, wins); a sweep that should spend its shots
+    adaptively under a precision target runs as a one-sweep
+    :func:`~repro.campaign.orchestrator.run_campaign`.  ``code``
+    overrides the registry lookup of ``sweep.code``, so a code outside
+    the registry can run any kind.  Points carrying an
+    :class:`OracleCheck` are re-run on the reference backend and must
+    match bit for bit
     (:class:`~repro.campaign.scenarios.ScenarioMismatch` otherwise).
     """
     # The orchestrator imports this module.
     from repro.campaign.orchestrator import run_standalone_sweep
 
     kind = kind_by_name(sweep.kind)
-    validate_sweep(sweep)
-    if max_shots is not None:
-        sweep = replace(sweep, max_shots=max_shots)
-    points = run_standalone_sweep(
-        sweep, shots=shots, seed=seed,
-        target=as_precision_target(target_precision), code=code,
-        workers=workers, pool=pool)
+    points = run_standalone_sweep(sweep, shots=shots, seed=seed, code=code,
+                                  workers=workers)
     columns = list(kind.static_columns(sweep))
     if kind.sampled:
         columns = columns + ["logical_error_rate"]
@@ -324,7 +303,6 @@ register_kind(SweepKind(
     expand=_expand_physical_error,
     static_columns=lambda sweep: ["p", "round_latency_us"],
     title=lambda sweep: f"{sweep.code} ({sweep.codesign})",
-    count=lambda sweep: len(sweep.physical_error_rates),
     validate=_validate_physical_error,
     validate_names=lambda sweep: _check_codesigns(sweep, [sweep.codesign]),
 ))
@@ -361,7 +339,6 @@ register_kind(SweepKind(
     expand=_expand_architectures,
     static_columns=lambda sweep: ["codesign", "execution_time_us", "p"],
     title=lambda sweep: f"{sweep.code} (p={sweep.physical_error_rate:g})",
-    count=lambda sweep: len(sweep.codesigns),
     validate=_validate_architectures,
     validate_names=lambda sweep: _check_codesigns(sweep, sweep.codesigns),
 ))
@@ -396,7 +373,6 @@ register_kind(SweepKind(
     title=lambda sweep: (
         f"Fig. 5 — LER vs baseline depth speedup ({sweep.code}, "
         f"p={_operating_point(sweep, 5e-4):g})"),
-    count=lambda sweep: len(kind_params(sweep)["speedups"]),
 ))
 
 
@@ -439,24 +415,18 @@ register_kind(SweepKind(
     title=lambda sweep: (
         f"Fig. 9 — junction crossing sensitivity ({sweep.code}, "
         f"p={_operating_point(sweep, 1e-4):g})"),
-    count=lambda sweep: len(kind_params(sweep)["reductions"]) + 1,
 ))
 
 
 # -- trap_arrangement (Figure 13) --------------------------------------
 
-def _trap_counts_for(sweep, code) -> tuple[list, int]:
-    counts = kind_params(sweep)["trap_counts"]
-    m_basis = max(code.num_x_stabilizers, code.num_z_stabilizers)
-    if counts is None:
-        counts = sorted({1, 9, 25, 64, m_basis // 2, m_basis})
-    return list(counts), m_basis
-
-
 def _expand_trap_arrangement(sweep, code):
     values = kind_params(sweep)
     p = _operating_point(sweep, 1e-4)
-    counts, m_basis = _trap_counts_for(sweep, code)
+    m_basis = max(code.num_x_stabilizers, code.num_z_stabilizers)
+    counts = values["trap_counts"]
+    if counts is None:
+        counts = sorted({1, 9, 25, 64, m_basis // 2, m_basis})
     include_ler = bool(values["include_ler"])
     points = []
     for x in counts:
@@ -472,16 +442,6 @@ def _expand_trap_arrangement(sweep, code):
             round_latency_us=compiled.execution_time_us,
             sampled=include_ler))
     return points
-
-
-def _count_trap_arrangement(sweep) -> int:
-    values = kind_params(sweep)
-    if not values["include_ler"]:
-        return 0
-    counts = values["trap_counts"]
-    if counts is None:
-        counts, _ = _trap_counts_for(sweep, code_by_name(sweep.code))
-    return len(counts)
 
 
 register_kind(SweepKind(
@@ -501,7 +461,6 @@ register_kind(SweepKind(
     title=lambda sweep: (
         f"Fig. 13 — Cyclone trap/ion arrangement sensitivity "
         f"({sweep.code}, p={_operating_point(sweep, 1e-4):g})"),
-    count=_count_trap_arrangement,
 ))
 
 
@@ -533,7 +492,6 @@ register_kind(SweepKind(
     title=lambda sweep: (
         f"Fig. 17 — baseline sensitivity to loose trap capacity "
         f"({sweep.code}, p={_operating_point(sweep, 1e-4):g})"),
-    count=lambda sweep: len(kind_params(sweep)["capacities"]),
 ))
 
 
@@ -572,8 +530,6 @@ register_kind(SweepKind(
     title=lambda sweep: (
         f"Fig. 18 — gate/shuttle time reduction sensitivity "
         f"({sweep.code}, p={_operating_point(sweep, 1e-4):g})"),
-    count=lambda sweep: (len(kind_params(sweep)["reductions"])
-                         * len(_OPERATION_TIME_DESIGNS)),
 ))
 
 
@@ -617,7 +573,6 @@ register_kind(SweepKind(
         "unrolled_gate_us", "unrolled_shuttle_us",
         "unrolled_measurement_us", "parallelization_fraction"],
     title=lambda sweep: f"Fig. 20 — compiler sensitivity ({sweep.code})",
-    count=lambda sweep: 0,
     sampled=False,
     validate_names=lambda sweep: _check_codesigns(
         sweep, kind_params(sweep)["compilers"]),
@@ -648,7 +603,6 @@ register_kind(SweepKind(
                                   "execution_time_us"],
     title=lambda sweep: (
         f"Fig. 21 — IonSWAP vs GateSWAP sensitivity ({sweep.code})"),
-    count=lambda sweep: 0,
     sampled=False,
 ))
 
@@ -734,7 +688,6 @@ register_kind(SweepKind(
         f"scenario fuzz (n={kind_params(sweep)['num_scenarios']}, "
         f"seed={kind_params(sweep)['scenario_seed']}, "
         f"oracle={kind_params(sweep)['check_backend']})"),
-    count=lambda sweep: int(kind_params(sweep)["num_scenarios"]),
     needs_code=False,
     validate=_validate_scenario_sweep,
 ))

@@ -46,8 +46,8 @@ reuses every record (zero shots sampled) and re-renders the identical
 tables, because rows are a pure function of the stored tallies
 (:func:`~repro.core.sweep.tally_point_fields`).
 
-All sweeps share one :class:`~repro.parallel.pipeline.SharedPool` when
-``workers > 1`` — the campaign spawns worker processes once, and the
+All sweeps share one :class:`~repro.parallel.pipeline.SharedPool` — the
+campaign spawns worker processes once (none at ``workers=1``), and the
 workers keep per-code pipeline state in a fingerprint-keyed cache.
 Results are bit-identical for any worker count.
 """
@@ -76,7 +76,7 @@ from repro.core.results import PRECISION_COLUMNS, ResultTable
 from repro.core.stats import PrecisionTarget
 from repro.core.sweep import allocate_shots, tally_point_fields
 from repro.parallel.faults import active_plan
-from repro.parallel.pipeline import SharedPool, resolve_workers
+from repro.parallel.pipeline import SharedPool
 
 __all__ = ["CampaignInterrupted", "CampaignResult", "JoinedCampaign",
            "run_campaign"]
@@ -209,14 +209,15 @@ class CampaignResult:
             columns=["sweep", "points", "shots_used", "targets_met"],
         )
         for sweep, sweep_table in zip(self.spec.sweeps, self.tables):
+            sampled = [row for row in sweep_table.rows
+                       if "shots_used" in row]
             table.add_row(
-                sweep=sweep.name, points=sweep.num_points,
-                shots_used=sum(row.get("shots_used", 0) or 0
-                               for row in sweep_table.rows),
+                sweep=sweep.name, points=len(sampled),
+                shots_used=sum(row["shots_used"] for row in sampled),
                 targets_met=sum(
-                    1 for row in sweep_table.rows
-                    if sweep.target.met(row.get("failures", 0),
-                                        row.get("shots_used", 0))),
+                    1 for row in sampled
+                    if sweep.target.met(row["failures"],
+                                        row["shots_used"])),
             )
         return table
 
@@ -394,15 +395,22 @@ def _sweep_points(sweep: SweepSpec, sweep_index: int,
 
 def _expand_points(spec: CampaignSpec, budget: int,
                    campaign_fp: str) -> list[_CampaignPoint]:
-    """Expand the spec via each sweep's kind (latencies compiled here)."""
-    points = []
-    per_point = max(1, budget // max(1, spec.num_points))
-    for sweep_index, sweep in enumerate(spec.sweeps):
+    """Expand the spec via each sweep's kind (latencies compiled here).
+
+    Every sweep expands once; the per-point budget share divides the
+    budget by the sampled points those expansions hold."""
+    expansions = []
+    for sweep in spec.sweeps:
         kind = kind_by_name(sweep.kind)
         code = code_by_name(sweep.code) if kind.needs_code else None
-        points += _sweep_points(sweep, sweep_index, kind.expand(sweep, code),
-                                code, budget, per_point, spec.seed,
-                                campaign_fp)
+        expansions.append((sweep, code, kind.expand(sweep, code)))
+    sampled = sum(point.sampled for _, _, expanded in expansions
+                  for point in expanded)
+    per_point = max(1, budget // max(1, sampled))
+    points = []
+    for sweep_index, (sweep, code, expanded) in enumerate(expansions):
+        points += _sweep_points(sweep, sweep_index, expanded, code, budget,
+                                per_point, spec.seed, campaign_fp)
     return points
 
 
@@ -476,9 +484,10 @@ class _PointRunner:
 
     ``shots_sampled`` counts fresh Monte-Carlo work, ``shots_replayed``
     stages served from checkpoints.  A context manager: closing it
-    releases every experiment and the pool it built (``workers > 1``
-    and no lent ``pool``).  ``shard_timeout`` and ``max_shard_retries``
-    configure that built pool only; a lent pool keeps its own settings.
+    releases every experiment and the pool it built when no ``pool``
+    was lent.  ``shard_timeout`` and ``max_shard_retries`` configure
+    that built pool only, and :class:`SharedPool` checks them at any
+    worker count; a lent pool keeps its own settings.
     """
 
     def __init__(self, spec: CampaignSpec, store: ResultStore | None,
@@ -496,13 +505,13 @@ class _PointRunner:
         self.points_finalized = 0
         self._stack = ExitStack()
         self._experiments: dict = {}
-        if pool is None and resolve_workers(workers) > 1:
-            # Worker processes spawn on the first multi-shard run only.
+        if pool is None:
+            # Worker processes spawn on the first multi-shard run with
+            # workers > 1 only; a one-worker pool starts none.
             budget = ({} if max_shard_retries is None
                       else {"max_rebuilds": max_shard_retries})
             pool = self._stack.enter_context(SharedPool(
-                resolve_workers(workers), shard_timeout=shard_timeout,
-                **budget))
+                workers, shard_timeout=shard_timeout, **budget))
         self.pool = pool
 
     def __enter__(self) -> "_PointRunner":
@@ -985,10 +994,11 @@ def run_campaign(spec: CampaignSpec,
     ``shard_timeout`` (default: wait forever) and
     ``max_shard_retries`` (default 2) are the per-shard deadline and
     the lifetime rebuild budget of the pool the run builds (see
-    :class:`~repro.parallel.pipeline.SharedPool`); a lent ``pool``
-    keeps its own.  Like every execution setting they are run
-    arguments, never spec keys, so they never reach the store key and
-    results are bit-identical under any value.  ``stop`` is an optional
+    :class:`~repro.parallel.pipeline.SharedPool`, which rejects an
+    invalid value at any worker count); a lent ``pool`` keeps its own.
+    Like every execution setting they are run arguments, never spec
+    keys, so they never reach the store key and results are
+    bit-identical under any valid value.  ``stop`` is an optional
     zero-argument callable polled between units of work; once it
     returns true the campaign flushes everything finalised, releases
     the pool and raises :class:`CampaignInterrupted` — the CLI wires
@@ -1208,8 +1218,7 @@ _FIXED_BUDGET_TARGET = PrecisionTarget(half_width=1e-9)
 def run_standalone_sweep(sweep: SweepSpec, *, shots: int, seed: int,
                          target: PrecisionTarget | None = None,
                          points: list[ExpandedPoint] | None = None,
-                         code: CSSCode | None = None, workers: int = 1,
-                         pool: SharedPool | None = None
+                         code: CSSCode | None = None, workers: int = 1
                          ) -> list[_CampaignPoint]:
     """Run one sweep as a one-sweep campaign on no store.
 
@@ -1250,7 +1259,6 @@ def run_standalone_sweep(sweep: SweepSpec, *, shots: int, seed: int,
     if fresh:
         spec = CampaignSpec(name=sweep.name, sweeps=(sweep,),
                             budget=budget, seed=seed)
-        with _PointRunner(spec, None, "", workers=workers,
-                          pool=pool) as runner:
+        with _PointRunner(spec, None, "", workers=workers) as runner:
             _pilot_and_refine(runner.sample, fresh, budget)
     return resolved

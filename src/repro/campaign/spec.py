@@ -39,11 +39,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign.kinds import (
-    sweep_point_count,
-    validate_sweep,
-    validate_sweep_names,
-)
+from repro.campaign.kinds import validate_sweep, validate_sweep_names
 from repro.campaign.store import fingerprint
 from repro.core.stats import PrecisionTarget
 from repro.decoders.bposd import BACKENDS
@@ -107,10 +103,6 @@ class SweepSpec:
         validate_sweep(self)
 
     # ------------------------------------------------------------------
-    @property
-    def num_points(self) -> int:
-        return sweep_point_count(self)
-
     def validate_names(self) -> None:
         """Check the code and codesign names against the registries.
 
@@ -209,10 +201,6 @@ class CampaignSpec:
             raise ValueError("sweep names must be unique within a campaign")
 
     # ------------------------------------------------------------------
-    @property
-    def num_points(self) -> int:
-        return sum(sweep.num_points for sweep in self.sweeps)
-
     def validate_names(self) -> None:
         for sweep in self.sweeps:
             sweep.validate_names()

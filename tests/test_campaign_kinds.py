@@ -271,7 +271,6 @@ class TestRegistry:
             ],
             static_columns=lambda sweep: ["design", "execution_time_us"],
             title=lambda sweep: f"latency ({sweep.code})",
-            count=lambda sweep: 0,
             sampled=False,
         )
         register_kind(custom)
@@ -380,19 +379,6 @@ class TestKindParity:
         legacy = _legacy_swap_kind(code)
         table = _kind_table("swap_kind", {})
         assert table.to_json() == legacy.to_json()
-
-    def test_wrappers_delegate_to_kinds(self):
-        # The public analysis API is a thin shell over the same kinds.
-        from repro.analysis import depth_speedup_ler, swap_kind_sensitivity
-        code = code_by_name(CODE)
-        wrapped = depth_speedup_ler(code, physical_error_rate=P,
-                                    speedups=(1.0, 2.0, 4.0), shots=SHOTS,
-                                    rounds=ROUNDS, seed=SEED)
-        table = _kind_table("depth_speedup", {"speedups": [1.0, 2.0, 4.0]},
-                            physical_error_rate=P)
-        _assert_sampled_parity(wrapped, table)
-        assert swap_kind_sensitivity(code).to_json() == \
-            _legacy_swap_kind(code).to_json()
 
 
 # ----------------------------------------------------------------------
@@ -604,3 +590,60 @@ class TestMultiKindCampaign:
         assert final.points_reused == final.points_total
         for one, two in zip(resumed.tables, final.tables):
             assert one.to_json() == two.to_json()
+
+
+# ----------------------------------------------------------------------
+# A kind describes its points once: the expansion is also the count.
+
+class TestOneExpansionPerRun:
+    def test_custom_kind_expands_once(self):
+        calls = {"n": 0}
+
+        def expand(sweep, code):
+            calls["n"] += 1
+            return [kinds_module.ExpandedPoint(
+                row={"knob": knob, "round_latency_us": 100.0},
+                params={"knob": knob},
+                physical_error_rate=P, round_latency_us=100.0)
+                for knob in kind_params(sweep)["knobs"]]
+
+        register_kind(SweepKind(
+            name="test_only_counted",
+            description="sampled points from the docs' recipe (test-only)",
+            params=(KindParam("knobs", "list[float]", [1.0, 2.0],
+                              "knobs"),),
+            expand=expand,
+            static_columns=lambda sweep: ["knob", "round_latency_us"],
+            title=lambda sweep: f"counted ({sweep.code})",
+        ))
+        try:
+            sweep = SweepSpec(name="s", code=CODE, kind="test_only_counted",
+                              rounds=ROUNDS)
+            result = run_campaign(CampaignSpec(
+                name="counted", sweeps=(sweep,), budget=64, seed=SEED))
+            result.summary_table()
+            summary = result.summary_table()
+        finally:
+            del kinds_module._KINDS["test_only_counted"]
+        assert calls["n"] == 1
+        assert summary.column("points") == [2]
+        assert result.points_total == 2
+
+    def test_summary_counts_sampled_rows(self):
+        spec = CampaignSpec.from_dict({
+            "name": "sampled_and_analytic",
+            "budget": 128,
+            "seed": SEED,
+            "sweeps": [
+                {"name": "ler", "code": CODE, "kind": "physical_error",
+                 "codesign": "cyclone", "physical_error_rates": [1e-2, P],
+                 "rounds": ROUNDS, "pilot_shots": 32},
+                {"name": "swaps", "code": CODE, "kind": "swap_kind"},
+            ],
+        })
+        result = run_campaign(spec)
+        summary = result.summary_table()
+        assert summary.column("sweep") == ["ler", "swaps"]
+        assert summary.column("points") == [2, 0]
+        assert summary.column("shots_used") == [result.spent, 0]
+        assert len(result.tables[1].rows) == 4

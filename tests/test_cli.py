@@ -215,6 +215,14 @@ class TestCampaignFaultExitCodes:
                      "--fault-plan", '{"bogus": 1}']) == 2
         assert "bad --fault-plan" in capsys.readouterr().err
 
+    def test_bad_shard_timeout_at_one_worker_exits_2(self, capsys,
+                                                     tmp_path):
+        store = tmp_path / "bad.jsonl"
+        assert main(["campaign", "ci_smoke", "--workers", "1",
+                     "--shard-timeout", "0", "--store", str(store)]) == 2
+        assert "shard_timeout" in capsys.readouterr().err
+        assert not store.exists() or store.read_text() == ""
+
     def test_injected_crash_exits_1(self, capsys, tmp_path):
         store = tmp_path / "store.jsonl"
         code = main(["campaign", "ci_smoke", "--store", str(store),

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.analysis.sensitivity as sensitivity_module
+from repro.campaign import SweepSpec, run_sweep_kind
 from repro.circuits import memory_experiment_circuit
 from repro.codes import code_by_name, surface_code
 from repro.core.memory import MemoryExperiment
@@ -316,9 +316,11 @@ class TestSweepPoolLifetime:
         monkeypatch.setattr(MemoryExperiment, "run", failing_run)
         code = surface_code(3)
         with pytest.raises(RuntimeError, match="injected"):
-            sensitivity_module.depth_speedup_ler(
-                code, physical_error_rate=3e-3, speedups=(1.0, 2.0, 4.0),
-                shots=96, rounds=2, workers=2,
+            run_sweep_kind(
+                SweepSpec(name="depth_speedup", code=code.name,
+                          kind="depth_speedup", physical_error_rate=3e-3,
+                          params={"speedups": [1.0, 2.0, 4.0]}, rounds=2),
+                code=code, shots=96, workers=2,
             )
         assert len(created) == 1
         experiment = created[0]
